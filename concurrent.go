@@ -12,99 +12,100 @@ import (
 )
 
 // CheckAllConcurrent verifies every class of the module in parallel,
-// using up to workers goroutines (0 means GOMAXPROCS). The analyses are
-// independent — every class reads the shared registry and the shared
-// pipeline cache, both concurrency-safe — so this is a pure fan-out;
-// results come back in source order regardless of completion order.
-//
-// The first analysis error (not verification finding) stops the run:
-// once any worker fails, no further class is handed out and idle-bound
-// classes are skipped, so a module whose first class cannot be analyzed
-// does not pay for checking the remaining hundreds. Classes already in
-// flight finish normally. The error reported is the one for the
-// earliest (source-order) failing class among those actually checked.
+// using up to workers goroutines (0 means GOMAXPROCS). It is
+// CheckAllContext without a deadline.
 func (m *Module) CheckAllConcurrent(workers int) ([]*Report, error) {
 	return m.CheckAllContext(context.Background(), workers)
 }
 
-// CheckAllContext is CheckAllConcurrent bounded by a context: when ctx
-// is cancelled (deadline, client disconnect, server drain), dispatch
-// stops and queued classes are skipped, not just the post-first-error
-// tail. Classes whose analysis already started finish normally — the
-// per-class pipeline stages are not interruptible — so cancellation
-// latency is one class, not the whole module. On cancellation the
-// result is nil and ctx's error is returned (unless a class analysis
-// failed first; analysis errors win, matching CheckAllConcurrent).
-func (m *Module) CheckAllContext(ctx context.Context, workers int) ([]*Report, error) {
+// CheckAllContext is the one module sweep: CheckAll, CheckAllConcurrent,
+// the daemon's whole-module checks (union and precise) and
+// Session.Recheck all run it. Every class is verified with opts (e.g.
+// Precise) over up to workers goroutines (0 means GOMAXPROCS, 1 checks
+// in the calling goroutine). The analyses are independent — every
+// class reads the shared registry and the shared pipeline cache, both
+// concurrency-safe — so results come back in source order regardless
+// of completion order.
+//
+// The sweep first peeks the warm prefix: the leading classes whose
+// whole-class report is already memoized are collected without a span,
+// each counted once as a report hit, and only the classes after the
+// prefix are checked. A fully-warm module is therefore nothing but one
+// report-cache peek per class, with no check.module span and no
+// fan-out; the hits add one aggregated cache.hit.report count to the
+// caller's span (the pipeline's "hits annotate, misses re-time" rule
+// one level up, EXPERIMENTS.md P3). Otherwise one "check.module" span
+// brackets the rest, carrying the prefix's hit count, and each checked
+// class's "check.class" span is its child.
+//
+// The first analysis error (not verification finding) stops the sweep:
+// once any class fails, no further class is handed out, so a module
+// whose first class cannot be analyzed does not pay for checking the
+// remaining hundreds. Cancelling ctx (deadline, client disconnect,
+// server drain) stops it the same way. Classes already in flight finish
+// normally — the per-class pipeline stages are not interruptible — so
+// cancellation latency is one class. An analysis error wins over
+// cancellation: the error reported is the one for the earliest
+// (source-order) failing class among those actually checked; on plain
+// cancellation the result is nil and ctx's error is returned.
+func (m *Module) CheckAllContext(ctx context.Context, workers int, opts ...Option) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("shelley: check cancelled: %w", err)
 	}
+	peek := append([]check.Option{check.WithCache(m.cache)}, opts...)
+	reports := make([]*Report, len(m.classes))
+	warm := 0
+	for ; warm < len(m.classes); warm++ {
+		r, ok := check.PeekReport(ctx, m.classes[warm].model, m.registry, peek...)
+		if !ok {
+			break
+		}
+		reports[warm] = r
+	}
+	if warm == len(m.classes) {
+		obs.SpanFrom(ctx).AddCountN("cache.hit.report", uint64(warm))
+		return reports, nil
+	}
+
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(m.classes) {
-		workers = len(m.classes)
-	}
-	// A fully-warm module is nothing but one report-cache hit per
-	// class, so follow the pipeline's "hits annotate, misses re-time"
-	// rule one level up: collect the memoized reports directly, with no
-	// check.module span and no worker fan-out; under tracing each hit
-	// bumps cache.hit.report on the caller's span instead
-	// (EXPERIMENTS.md P3). A partially-warm module falls through to the
-	// normal path, which re-counts the classes peeked here — the stats
-	// distortion is at most one extra hit per class per warm-up, and
-	// cold or partial traces keep the full span tree.
-	if reports, ok := m.peekAllReports(ctx); ok {
-		return reports, nil
-	}
-	// One "check.module" span brackets the whole fan-out; each class's
-	// "check.class" span (opened inside CheckContext) becomes its child,
-	// so a concurrent run exports one tree per class under one root.
+	workers = min(workers, len(m.classes)-warm)
 	ctx, span := obs.Start(ctx, "check.module",
 		obs.Int("classes", len(m.classes)),
 		obs.Int("workers", workers))
 	defer span.End()
-	if workers <= 1 {
-		return m.checkAllSequential(ctx)
+	if warm > 0 {
+		span.AddCountN("cache.hit.report", uint64(warm))
 	}
 
-	reports := make([]*Report, len(m.classes))
 	errs := make([]error, len(m.classes))
-	jobs := make(chan int)
-
-	// failed flips once on the first analysis error; the producer stops
-	// feeding and workers drain the channel without checking further.
-	// Context cancellation takes the same early-stop path.
+	var next atomic.Int64
+	next.Store(int64(warm))
+	// failed flips once on the first analysis error; every worker then
+	// stops taking classes. Context cancellation takes the same exit.
 	var failed atomic.Bool
-
+	sweep := func() {
+		for !failed.Load() && ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(m.classes) {
+				return
+			}
+			reports[i], errs[i] = m.classes[i].CheckContext(ctx, opts...)
+			if errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() || ctx.Err() != nil {
-					continue
-				}
-				reports[i], errs[i] = m.classes[i].CheckContext(ctx)
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}
+			sweep()
 		}()
 	}
-dispatch:
-	for i := range m.classes {
-		if failed.Load() {
-			break
-		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
+	sweep()
 	wg.Wait()
 
 	for i, err := range errs {
@@ -116,39 +117,4 @@ dispatch:
 		return nil, fmt.Errorf("shelley: check cancelled: %w", err)
 	}
 	return reports, nil
-}
-
-// peekAllReports collects the memoized report of every class without
-// opening any span, in source order; ok is false as soon as one class
-// misses (the partially-collected clones are discarded and the caller
-// runs the normal spanned path).
-func (m *Module) peekAllReports(ctx context.Context) ([]*Report, bool) {
-	opts := []check.Option{check.WithCache(m.cache)}
-	reports := make([]*Report, len(m.classes))
-	for i, c := range m.classes {
-		r, ok := check.PeekReport(ctx, c.model, m.registry, opts...)
-		if !ok {
-			return nil, false
-		}
-		reports[i] = r
-	}
-	obs.SpanFrom(ctx).AddCountN("cache.hit.report", uint64(len(m.classes)))
-	return reports, true
-}
-
-// checkAllSequential is the single-worker path of CheckAllContext: the
-// plain source-order loop with a cancellation check between classes.
-func (m *Module) checkAllSequential(ctx context.Context) ([]*Report, error) {
-	out := make([]*Report, 0, len(m.classes))
-	for _, c := range m.classes {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("shelley: check cancelled: %w", err)
-		}
-		r, err := c.CheckContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("shelley: checking %s: %w", c.Name(), err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

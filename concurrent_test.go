@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/shelley-go/shelley/internal/obs"
 	"github.com/shelley-go/shelley/internal/pipeline"
 )
 
@@ -201,6 +202,55 @@ func TestCheckAllConcurrentRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if _, err := m.CheckAllConcurrent(8); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckAllPartialWarmCountsEachHitOnce: when only a leading prefix
+// of the module is warm, the sweep peeks that prefix once and checks
+// only the classes after it, so each warm class is one report hit — in
+// the pipeline stats and in the trace's cache.hit.report counters —
+// and each cold class one miss.
+func TestCheckAllPartialWarmCountsEachHitOnce(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		m, err := LoadFiles(
+			filepath.Join("testdata", "valve.py"),
+			filepath.Join("testdata", "sector.py"),
+			filepath.Join("testdata", "badsector.py"),
+			filepath.Join("testdata", "goodsector.py"),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valve, _ := m.Class("Valve")
+		if _, err := valve.Check(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var ring *obs.Ring
+		if traced {
+			ctx, ring = tracedContext(t)
+		}
+		before := m.PipelineStats().Of(pipeline.StageReport)
+		reports, err := m.CheckAllContext(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reports) != 4 {
+			t.Fatalf("traced=%v: %d reports, want 4", traced, len(reports))
+		}
+		after := m.PipelineStats().Of(pipeline.StageReport)
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 3 {
+			t.Errorf("traced=%v: report stage +%d hits +%d misses, want +1 +3", traced, hits, misses)
+		}
+		if traced {
+			var counted uint64
+			for _, s := range ring.Snapshot() {
+				counted += s.Counts["cache.hit.report"]
+			}
+			if counted != 1 {
+				t.Errorf("cache.hit.report counted %d times across the trace, want 1 (one warm class)", counted)
+			}
 		}
 	}
 }

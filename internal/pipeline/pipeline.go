@@ -347,9 +347,9 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 
 // PeekQuiet is Peek without the span annotation: a successful peek
 // still counts as a stats hit, but the caller owns reporting it to the
-// trace — Module.CheckAllContext peeks every class and adds one
-// aggregated cache.hit.report count instead of one map operation per
-// class (EXPERIMENTS.md P3).
+// trace — Module.CheckAllContext peeks its warm prefix and adds one
+// aggregated cache.hit.report count instead of one per class
+// (EXPERIMENTS.md P3).
 func (c *Cache) PeekQuiet(stage Stage, key string) (any, error, bool) {
 	if c == nil {
 		return nil, nil, false

@@ -194,8 +194,8 @@ func appendJSONString(b []byte, s string) ([]byte, bool) {
 // burst of back-to-back completions rides one flush, which is most of
 // the batch endpoint's throughput edge over per-class requests. The
 // caller owns ctx: cancellation stops admission of further items
-// (already-launched work resolves through the coalescer for any
-// remaining waiters) and marks the rest canceled.
+// (already-launched work settles its response cell for any remaining
+// waiters) and marks the rest canceled.
 func (s *Server) runBatch(ctx context.Context, items []client.BatchItem, emit func(rec client.BatchRecord, stall bool)) {
 	var succeeded, failed int
 	record := func(rec client.BatchRecord, stall bool) {
@@ -252,106 +252,61 @@ func (s *Server) runBatch(ctx context.Context, items []client.BatchItem, emit fu
 }
 
 // instantItem reports whether it will resolve without pausing the
-// stream: a fingerprint-only item whose response body is already
-// memoized on its resident module. Conservative by construction — any
-// item carrying source (hashing, maybe loading) or missing its cache
-// entry counts as slow, so the flush hint errs toward flushing.
+// stream: a fingerprint-only item whose response is a kept 200 body on
+// its resident module. Conservative by construction — any item carrying
+// source (hashing, maybe loading) or without a kept body counts as
+// slow, so the flush hint errs toward flushing.
 func (s *Server) instantItem(it client.BatchItem) bool {
 	if it.Source != "" || it.Fingerprint == "" {
 		return false
 	}
-	_, ok := s.modules.cachedBody(it.Fingerprint, checkKey(it.Fingerprint, it.Class, it.Precise))
-	return ok
+	e := s.modules.settled(it.Fingerprint)
+	return e != nil && e.kept(checkKey(it.Fingerprint, it.Class, it.Precise))
 }
 
-// batchItem verifies one item and returns its record. It mirrors
-// handleCheck's request handling — same validation, same error
-// mapping, same coalescing key, same pooled closure — so a batch item
-// and a single /v1/check of the same work are byte-identical and share
-// one in-flight execution. The one divergence is submission
-// discipline: items block on a full queue (backpressure) instead of
-// shedding.
+// batchItem verifies one item and returns its record. It runs the same
+// answerCheck as /v1/check, so a batch item and a single check of the
+// same work are byte-identical and share one response cell. The one
+// divergence is submission discipline: items block on a full queue
+// (backpressure) instead of shedding.
 func (s *Server) batchItem(ctx context.Context, idx int, it client.BatchItem) client.BatchRecord {
 	rec := client.BatchRecord{Index: idx, ID: it.ID}
-	fail := func(status int, msg string) client.BatchRecord {
-		rec.Status, rec.Error = status, msg
-		return rec
-	}
 	if ctx.Err() != nil {
 		return s.canceledRecord(rec, ctx)
 	}
 	ctx, span := obs.Start(ctx, "batch.item", obs.Int("index", idx))
 	defer span.End()
-	if it.Source == "" && it.Fingerprint == "" {
-		return fail(http.StatusBadRequest, "item needs source or fingerprint")
-	}
-	fp := it.Fingerprint
-	if it.Source != "" {
-		if int64(len(it.Source)) > s.cfg.MaxSourceBytes {
-			return fail(http.StatusRequestEntityTooLarge, "item source exceeds the per-source byte limit")
-		}
-		computed := client.Fingerprint(it.Source)
-		if fp != "" && fp != computed {
-			return fail(http.StatusBadRequest, "fingerprint does not match source")
-		}
-		fp = computed
-	}
-	key := checkKey(fp, it.Class, it.Precise)
-	if body, ok := s.modules.cachedBody(fp, key); ok {
-		// Same fast path as handleCheck: a memoized success is the
-		// pooled path's exact bytes, served without a pool round-trip —
-		// and before module resolution, which is sound because bodies
-		// are stored only for requests that answered 200.
-		s.met.bodyCacheHits.Add(1)
-		rec.Status = http.StatusOK
-		rec.Check = json.RawMessage(body)
-		return rec
-	}
-	if body, ok := s.storeBody(key); ok {
-		// And one layer down: the durable store lets a restarted daemon
-		// answer fingerprint-only batch items without residency.
-		s.met.storeBodyHits.Add(1)
-		s.modules.storeBody(fp, key, body)
-		rec.Status = http.StatusOK
-		rec.Check = json.RawMessage(body)
-		return rec
-	}
-	mod, err := s.modules.get(ctx, fp, it.Source)
 	switch {
-	case errors.Is(err, errNotResident):
-		return fail(http.StatusNotFound, "module "+fp+" not resident; re-POST its source")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.met.timeoutWait.Add(1)
+	case it.Source == "" && it.Fingerprint == "":
+		rec.Status, rec.Error = http.StatusBadRequest, "item needs source or fingerprint"
+		return rec
+	case int64(len(it.Source)) > s.cfg.MaxSourceBytes:
+		rec.Status, rec.Error = http.StatusRequestEntityTooLarge, "item source exceeds the per-source byte limit"
+		return rec
+	}
+	rep, err := s.answerCheck(ctx, client.CheckRequest{
+		Source: it.Source, Fingerprint: it.Fingerprint, Class: it.Class, Precise: it.Precise,
+	}, true)
+	if err != nil {
+		// This item's stream went away; a shared computation continues
+		// for any other waiters.
 		return s.canceledRecord(rec, ctx)
-	case err != nil:
-		return fail(http.StatusUnprocessableEntity, err.Error())
 	}
-	if it.Class != "" {
-		if _, ok := mod.Class(it.Class); !ok {
-			return fail(http.StatusNotFound, "class "+it.Class+" not found")
-		}
-	}
-	c, _ := s.launch(ctx, key, true, s.checkFn(mod, fp, it.Class, it.Precise))
-	select {
-	case <-c.done:
-		rec.Status = c.status
-		if c.status == http.StatusOK {
-			rec.Check = json.RawMessage(c.body)
-			return rec
-		}
+	rec.Status = rep.status
+	switch {
+	case rep.status == http.StatusOK:
+		rec.Check = json.RawMessage(rep.body)
+	case rep.body == nil:
+		rec.Error = rep.msg
+	default:
 		var e client.ErrorResponse
-		if json.Unmarshal(c.body, &e) == nil && e.Error != "" {
+		if json.Unmarshal(rep.body, &e) == nil && e.Error != "" {
 			rec.Error = e.Error
 		} else {
-			rec.Error = string(c.body)
+			rec.Error = string(rep.body)
 		}
-		return rec
-	case <-ctx.Done():
-		// This item's stream went away; the shared computation
-		// continues for any coalesced waiters.
-		s.met.timeoutWait.Add(1)
-		return s.canceledRecord(rec, ctx)
 	}
+	return rec
 }
 
 // canceledRecord fills rec for an item overtaken by its stream's end:

@@ -163,7 +163,7 @@ func TestHostileRunSurvives(t *testing.T) {
 				var src string
 				if i%2 == 0 {
 					// Distinct tags defeat the module cache and the
-					// coalescer often enough to keep real work flowing.
+					// response cells often enough to keep real work flowing.
 					src = syntheticSource(1, fmt.Sprintf("H%dx%d", c, i))
 				} else {
 					src = pathological[(c+i)%len(pathological)] + fmt.Sprintf("\n# variant %d.%d\n", c, i%4)

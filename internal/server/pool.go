@@ -15,9 +15,10 @@ var (
 	errDraining  = errors.New("server: draining")
 )
 
-// job is one unit of pooled work: run computes the response for a
-// coalesced call; deadline is the server-policy execution deadline
-// (set at admission, so time spent queued counts against it).
+// job is one unit of pooled work: run computes the response of a
+// response cell or a watch push; deadline is the server-policy
+// execution deadline (set at admission, so time spent queued counts
+// against it).
 type job struct {
 	run      func(ctx context.Context)
 	expired  func() // invoked instead of run when the deadline passed in the queue

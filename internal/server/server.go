@@ -1,9 +1,19 @@
 // Package server implements shelleyd, the resident verification
 // daemon: an HTTP/JSON serving layer over the shelley pipeline that
-// keeps loaded modules (and their memoizing pipeline caches, PR 1)
-// warm across requests, coalesces identical in-flight requests by
-// source fingerprint, bounds concurrency with a fixed worker pool and
+// keeps loaded modules (and their memoizing pipeline caches) warm
+// across requests, bounds concurrency with a fixed worker pool and
 // queue (503 on saturation, 504 on deadline), and drains gracefully.
+//
+// Every resident module owns one singleflight response cell per request
+// key. /v1/check and each /v1/check-batch item share one path to it
+// (answerCheck): the first request for a key leads and runs on the
+// pool, identical concurrent requests wait on the cell and replay its
+// exact bytes, a 200 check body stays in the cell (and is written
+// behind the durable store, which a leader reads through on a miss),
+// and any other result leaves the cell before its waiters are released,
+// so a retry recomputes. /v1/infer and /v1/trace use the same cells but
+// never keep results; /v1/watch pushes mutate session state and go
+// straight to the pool. Cells are dropped with their module.
 //
 // Endpoints:
 //
@@ -31,6 +41,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +50,6 @@ import (
 	shelley "github.com/shelley-go/shelley"
 	"github.com/shelley-go/shelley/client"
 	"github.com/shelley-go/shelley/internal/budget"
-	"github.com/shelley-go/shelley/internal/check"
 	"github.com/shelley-go/shelley/internal/mine"
 	"github.com/shelley-go/shelley/internal/obs"
 	"github.com/shelley-go/shelley/internal/store"
@@ -61,9 +71,10 @@ type Config struct {
 	// admission (queue time included); expiry answers 504. 0 means 30s.
 	RequestTimeout time.Duration
 
-	// CheckWorkers is the per-request fan-out passed to
-	// Module.CheckAllContext. 0 means 1 (parallelism across requests,
-	// not within them — the pool is the concurrency budget).
+	// CheckWorkers is the per-request fan-out of whole-module checks,
+	// union and precise, passed to Module.CheckAllContext. 0 means 1
+	// (parallelism across requests, not within them — the pool is the
+	// concurrency budget).
 	CheckWorkers int
 
 	// MaxSourceBytes bounds request bodies. 0 means 4 MiB.
@@ -319,7 +330,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	modules  *moduleCache
-	co       *coalescer
 	pool     *pool
 	met      *metrics
 	mux      *http.ServeMux
@@ -355,13 +365,10 @@ type Server struct {
 
 	// watch is non-nil iff Config.Watch. watchStop is closed at the
 	// start of Shutdown so parked long-pollers answer 503 immediately
-	// instead of stalling the HTTP drain for a poll window;
-	// watchKeySeq uniquifies push launch keys (watch rounds are
-	// stateful and must never coalesce).
+	// instead of stalling the HTTP drain for a poll window.
 	watch         *watchStore
 	watchStop     chan struct{}
 	watchStopOnce sync.Once
-	watchKeySeq   atomic.Uint64
 
 	// tracer is non-nil when Config.Tracing or Config.Telemetry (the
 	// exemplar span trees need spans); ring only with Tracing; logger
@@ -398,7 +405,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		modules:    newModuleCache(cfg.MaxModules, met, cfg.Store),
-		co:         newCoalescer(),
 		pool:       newPool(cfg.Workers, cfg.QueueDepth, met, cfg.jobHook),
 		met:        met,
 		mux:        http.NewServeMux(),
@@ -674,8 +680,8 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) int {
 	return status
 }
 
-// writeRaw replays a coalesced call's byte-exact response. Write
-// failures are counted like writeError's.
+// writeRaw writes a settled response's exact bytes. Write failures
+// are counted like writeError's.
 func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -685,85 +691,156 @@ func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) int {
 	return status
 }
 
-// resolveModule turns a request's (source, fingerprint) pair into a
-// resident module, computing the fingerprint server-side when only
-// source is given. Error mapping: empty request 400, unknown
-// fingerprint 404, unloadable source 422.
-func (s *Server) resolveModule(w http.ResponseWriter, r *http.Request, source, fp string) (*shelley.Module, string, int) {
-	if source == "" && fp == "" {
-		return nil, "", s.writeError(w, http.StatusBadRequest, "request needs source or fingerprint")
-	}
-	if source != "" {
-		computed := client.Fingerprint(source)
-		if fp != "" && fp != computed {
-			return nil, "", s.writeError(w, http.StatusBadRequest, "fingerprint does not match source")
-		}
-		fp = computed
-	}
-	mod, err := s.modules.get(r.Context(), fp, source)
-	switch {
-	case errors.Is(err, errNotResident):
-		return nil, "", s.writeError(w, http.StatusNotFound, "module "+fp+" not resident; re-POST its source")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.met.timeoutWait.Add(1)
-		return nil, "", s.writeError(w, http.StatusGatewayTimeout, "module load wait: "+err.Error())
-	case err != nil:
-		return nil, "", s.writeError(w, http.StatusUnprocessableEntity, err.Error())
-	}
-	return mod, fp, 0
+// reply is one request's answer: a settled response (status plus the
+// exact body bytes a cell or the store holds) or a refusal made before
+// any work (status plus msg, body nil). coalesced marks a request that
+// waited on another request's in-flight cell.
+type reply struct {
+	status    int
+	body      []byte
+	msg       string
+	coalesced bool
 }
 
-// launch routes fn through coalescing and the worker pool, returning
-// the call whose done channel publishes the shared byte-exact
-// response. key must canonically encode the endpoint and every request
-// parameter that affects the response — single-shot and batch requests
-// use the same keys, so a batch item coalesces with an identical
-// in-flight /v1/check and vice versa. block selects the submission
-// discipline: single-shot requests shed load (a full queue resolves
-// 503 immediately), batch items exert backpressure (the submission
-// blocks until a worker frees a slot or rctx ends).
-func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ctx context.Context) (int, []byte)) (c *call, coalesced bool) {
-	c, leader := s.co.get(key)
-	if !leader {
-		s.met.coalesced.Add(1)
-		return c, true
+func refuse(status int, msg string) reply { return reply{status: status, msg: msg} }
+
+// target is a request resolved to its resident module.
+type target struct {
+	e      *moduleEntry // nil when the request was refused
+	fp     string
+	loaded bool // this request made the module resident
+}
+
+// resolve turns a request's (source, fingerprint) pair into its
+// resident module, hashing the source once to compute the fingerprint
+// server-side and loading the module on first use. Refusals come back
+// as rep: empty request 400, fingerprint mismatch 400, unknown
+// fingerprint 404, unloadable source 422. err is non-nil only when ctx
+// ended while waiting for a load.
+func (s *Server) resolve(ctx context.Context, source, fp string) (t target, rep reply, err error) {
+	if source == "" && fp == "" {
+		return t, refuse(http.StatusBadRequest, "request needs source or fingerprint"), nil
 	}
+	t.fp = fp
+	if source != "" {
+		t.fp = client.Fingerprint(source)
+		if fp != "" && fp != t.fp {
+			return t, refuse(http.StatusBadRequest, "fingerprint does not match source"), nil
+		}
+	}
+	e, loaded, err := s.modules.get(ctx, t.fp, source)
+	switch {
+	case errors.Is(err, errNotResident):
+		return t, refuse(http.StatusNotFound, "module "+t.fp+" not resident; re-POST its source"), nil
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		s.met.timeoutWait.Add(1)
+		return t, reply{}, fmt.Errorf("module load wait: %w", err)
+	case err != nil:
+		return t, refuse(http.StatusUnprocessableEntity, err.Error()), nil
+	}
+	t.e, t.loaded = e, loaded
+	return t, reply{}, nil
+}
+
+// answer serves key from the module's response cell. A kept 200 is
+// replayed at once; an in-flight cell is waited on (coalesced); a new
+// cell is led. keep marks a check, whose 200 stays in the cell and is
+// written behind the durable store; infer and trace results are never
+// kept. block selects the submission discipline: single-shot requests
+// shed load (a full queue answers 503 at once), batch items exert
+// backpressure. err is non-nil only when ctx ended first; the shared
+// computation then continues for the other waiters.
+func (s *Server) answer(ctx context.Context, t target, key string, keep, block bool, fn func(ctx context.Context) (int, []byte)) (reply, error) {
+	c, leader := t.e.cell(key)
+	switch {
+	case !leader && isClosed(c.done):
+		s.met.bodyCacheHits.Add(1)
+		return reply{status: c.status, body: c.body}, nil
+	case !leader:
+		s.met.coalesced.Add(1)
+	default:
+		s.lead(ctx, t.e, c, key, keep, block, fn)
+	}
+	if !t.loaded {
+		s.met.moduleHits.Add(1)
+	}
+	rep, err := s.await(ctx, c)
+	rep.coalesced = !leader
+	return rep, err
+}
+
+// lead settles a new cell: a check's leader first reads its body
+// through the durable store — an earlier process's exact bytes for
+// this content-addressed key — and otherwise runs fn on the pool.
+func (s *Server) lead(ctx context.Context, e *moduleEntry, c *cell, key string, keep, block bool, fn func(ctx context.Context) (int, []byte)) {
+	if keep {
+		if body, ok := s.persisted(key); ok {
+			e.settle(key, c, http.StatusOK, body, true)
+			return
+		}
+	}
+	s.submit(ctx, block, fn, func(status int, body []byte) {
+		kept := keep && status == http.StatusOK
+		if kept && s.store != nil {
+			s.store.Put(bodyKey(key), body)
+		}
+		e.settle(key, c, status, body, kept)
+	})
+}
+
+// persisted reads key's 200 check body through the durable store; a
+// miss without one.
+func (s *Server) persisted(key string) ([]byte, bool) {
+	if s.store == nil {
+		return nil, false
+	}
+	body, ok := s.store.Get(bodyKey(key))
+	if ok {
+		s.met.storeBodyHits.Add(1)
+	}
+	return body, ok
+}
+
+// await waits for c's result, or for ctx to end first.
+func (s *Server) await(ctx context.Context, c *cell) (reply, error) {
+	select {
+	case <-c.done:
+		return reply{status: c.status, body: c.body}, nil
+	case <-ctx.Done():
+		s.met.timeoutWait.Add(1)
+		return reply{}, fmt.Errorf("request context ended: %w", ctx.Err())
+	}
+}
+
+// submit runs fn on the worker pool and hands its result to done
+// exactly once: fn's own response, a contained panic's 500, a queue
+// expiry's 504, or a refused submission's 503. fn runs under the
+// request timeout (counted from admission) and the configured resource
+// budget. block selects backpressure over load shedding (see answer).
+func (s *Server) submit(rctx context.Context, block bool, fn func(ctx context.Context) (int, []byte), done func(status int, body []byte)) {
 	// Pooled jobs run under the pool's deadline context, not the
-	// request's; the carrier re-attaches the leader's tracer and
-	// root span so the work still nests under the request trace.
+	// request's; the carrier re-attaches the leader's tracer and root
+	// span so the work still nests under the request trace.
 	carrier := obs.Carry(rctx)
 	j := job{
 		deadline: time.Now().Add(s.cfg.RequestTimeout),
 		run: func(ctx context.Context) {
 			// A panic anywhere in the verification pipeline must not
-			// kill the daemon or strand the coalesced waiters: it is
-			// contained here, counted, and answered as a 500. The
-			// coalescer entry is forgotten first so a retry of the
-			// same key computes fresh instead of waiting forever.
+			// kill the daemon or strand the waiters: it is contained
+			// here, counted, and answered as a 500 that is never kept.
 			defer func() {
 				if rec := recover(); rec != nil {
 					s.met.panics.Add(1)
-					s.co.forget(key)
-					body, _ := json.Marshal(client.ErrorResponse{
-						Error: fmt.Sprintf("internal error: verification panicked: %v", rec),
-					})
-					c.resolve(http.StatusInternalServerError, body)
+					done(errorBody(http.StatusInternalServerError,
+						fmt.Sprintf("internal error: verification panicked: %v", rec)))
 				}
 			}()
 			if s.cfg.runHook != nil {
 				s.cfg.runHook()
 			}
-			// Every pooled job runs under the configured resource
-			// budget; pipeline constructions read it from the context.
-			status, body := fn(budget.With(carrier.Context(ctx), s.cfg.Limits))
-			s.co.forget(key)
-			c.resolve(status, body)
+			done(fn(budget.With(carrier.Context(ctx), s.cfg.Limits)))
 		},
-		expired: func() {
-			s.co.forget(key)
-			body, _ := json.Marshal(client.ErrorResponse{Error: "request expired in queue"})
-			c.resolve(http.StatusGatewayTimeout, body)
-		},
+		expired: func() { done(errorBody(http.StatusGatewayTimeout, "request expired in queue")) },
 	}
 	var err error
 	if block {
@@ -772,7 +849,6 @@ func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ct
 		err = s.pool.submit(j)
 	}
 	if err != nil {
-		s.co.forget(key)
 		msg := "queue saturated; retry later"
 		switch {
 		case errors.Is(err, errDraining):
@@ -780,30 +856,26 @@ func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ct
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			msg = "request ended before submission: " + err.Error()
 		}
-		body, _ := json.Marshal(client.ErrorResponse{Error: msg})
-		c.resolve(http.StatusServiceUnavailable, body)
+		done(errorBody(http.StatusServiceUnavailable, msg))
 	}
-	return c, false
 }
 
-// execute is the single-shot request path over launch: wait for the
-// shared response and replay it to this waiter.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, key string, fn func(ctx context.Context) (int, []byte)) int {
-	c, coalesced := s.launch(r.Context(), key, false, fn)
-	if coalesced {
+// respond writes a single-shot request's reply: the settled bytes, the
+// uniform error body of a refusal, or a 504 when the request's context
+// ended first.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, rep reply, err error) int {
+	if rep.coalesced {
 		if info, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
 			info.coalesced.Store(true)
 		}
 	}
-	select {
-	case <-c.done:
-		return s.writeRaw(w, c.status, c.body)
-	case <-r.Context().Done():
-		// This waiter's client went away (or its own deadline passed);
-		// the shared computation continues for the others.
-		s.met.timeoutWait.Add(1)
-		return s.writeError(w, http.StatusGatewayTimeout, "request context ended: "+r.Context().Err().Error())
+	switch {
+	case err != nil:
+		return s.writeError(w, http.StatusGatewayTimeout, err.Error())
+	case rep.body == nil:
+		return s.writeError(w, rep.status, rep.msg)
 	}
+	return s.writeRaw(w, rep.status, rep.body)
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) int {
@@ -811,96 +883,64 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) int {
 	if err := decodeBody(w, r, s.cfg.MaxSourceBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
-	// The fingerprint is computable without loading anything, and both
-	// body fast paths key on it — so they run before module resolution,
-	// which is what lets a freshly restarted daemon answer a
-	// fingerprint-only check from the durable store without the module
-	// being resident (or its source being re-POSTed) at all.
-	if req.Source == "" && req.Fingerprint == "" {
-		return s.writeError(w, http.StatusBadRequest, "request needs source or fingerprint")
-	}
-	fp := req.Fingerprint
-	if req.Source != "" {
-		computed := client.Fingerprint(req.Source)
-		if fp != "" && fp != computed {
-			return s.writeError(w, http.StatusBadRequest, "fingerprint does not match source")
+	rep, err := s.answerCheck(r.Context(), req, false)
+	return s.respond(w, r, rep, err)
+}
+
+// answerCheck is the one path from a check — a /v1/check request or a
+// batch item — to its response: resolve the module, then answer from
+// its response cell for (fingerprint, class, precise). A
+// fingerprint-only check of a module that is not resident is answered
+// from the durable store when it holds the body, which is what lets a
+// freshly restarted daemon serve it without the source being re-POSTed.
+func (s *Server) answerCheck(ctx context.Context, req client.CheckRequest, block bool) (reply, error) {
+	t, rep, err := s.resolve(ctx, req.Source, req.Fingerprint)
+	key := checkKey(t.fp, req.Class, req.Precise)
+	if t.e == nil {
+		if rep.status == http.StatusNotFound {
+			if body, ok := s.persisted(key); ok {
+				return reply{status: http.StatusOK, body: body}, nil
+			}
 		}
-		fp = computed
-	}
-	key := checkKey(fp, req.Class, req.Precise)
-	if body, ok := s.modules.cachedBody(fp, key); ok {
-		// A memoized success is byte-identical to the pooled path's
-		// response (it IS that path's bytes) and needs no scheduling,
-		// budget, or coalescing — answer in the handler goroutine.
-		// Serving before the class-existence check is sound: bodies are
-		// stored only for requests that answered 200, which proves the
-		// class existed in this exact (content-addressed) source.
-		s.met.bodyCacheHits.Add(1)
-		return s.writeRaw(w, http.StatusOK, body)
-	}
-	if body, ok := s.storeBody(key); ok {
-		// Same contract one layer down: a persisted 200 body for this
-		// content-addressed key is the prior process's exact bytes.
-		// Re-memoize it in memory (when the module is resident) so the
-		// next repeat skips the disk too.
-		s.met.storeBodyHits.Add(1)
-		s.modules.storeBody(fp, key, body)
-		return s.writeRaw(w, http.StatusOK, body)
-	}
-	mod, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint)
-	if mod == nil {
-		return errCode
+		return rep, err
 	}
 	if req.Class != "" {
-		if _, ok := mod.Class(req.Class); !ok {
-			return s.writeError(w, http.StatusNotFound, "class "+req.Class+" not found")
+		if _, ok := t.e.mod.Class(req.Class); !ok {
+			return refuse(http.StatusNotFound, "class "+req.Class+" not found"), nil
 		}
 	}
-	return s.execute(w, r, key, s.checkFn(mod, fp, req.Class, req.Precise))
+	return s.answer(ctx, t, key, true, block, s.checkFn(t.e.mod, t.fp, req.Class, req.Precise))
 }
 
-// storeBodyKey namespaces persisted response bodies apart from the
-// persisted pipeline artifacts sharing the durable store.
-func storeBodyKey(key string) string { return "body\x00" + key }
-
-// storeBody consults the durable store for a persisted 200 response
-// body. Always a miss without a store.
-func (s *Server) storeBody(key string) ([]byte, bool) {
-	if s.store == nil {
-		return nil, false
-	}
-	return s.store.Get(storeBodyKey(key))
-}
-
-// checkKey is the canonical coalescing key of a check: shared by
-// /v1/check and every batch item, so identical work in flight anywhere
-// collapses to one execution.
+// checkKey is the canonical key of a check: shared by /v1/check and
+// every batch item, so identical work anywhere shares one cell.
 func checkKey(fp, class string, precise bool) string {
-	return strings.Join([]string{"check", fp, class, fmt.Sprint(precise)}, "\x00")
+	return "check\x00" + fp + "\x00" + class + "\x00" + strconv.FormatBool(precise)
 }
+
+// bodyKey namespaces persisted response bodies apart from the persisted
+// pipeline artifacts sharing the durable store.
+func bodyKey(key string) string { return "body\x00" + key }
 
 // checkFn builds the pooled verification closure for one (module,
 // class, precise) triple; its byte output is what /v1/check responds
-// and what a batch record embeds.
+// and what a batch record embeds. Whole-module checks, union and
+// precise alike, run the library's one module sweep.
 func (s *Server) checkFn(mod *shelley.Module, fp, class string, precise bool) func(ctx context.Context) (int, []byte) {
 	return func(ctx context.Context) (int, []byte) {
+		var opts []shelley.Option
+		if precise {
+			opts = append(opts, shelley.Precise())
+		}
 		var reports []*shelley.Report
 		var err error
 		if class != "" {
 			cls, _ := mod.Class(class)
-			var opts []check.Option
-			if precise {
-				opts = append(opts, check.Precise())
-			}
 			var rep *shelley.Report
 			rep, err = cls.CheckContext(ctx, opts...)
-			if rep != nil {
-				reports = []*shelley.Report{rep}
-			}
-		} else if precise {
-			reports, err = checkAllPrecise(ctx, mod)
+			reports = []*shelley.Report{rep}
 		} else {
-			reports, err = mod.CheckAllContext(ctx, s.cfg.CheckWorkers)
+			reports, err = mod.CheckAllContext(ctx, s.cfg.CheckWorkers, opts...)
 		}
 		if err != nil {
 			return s.checkErrorBody(ctx, err)
@@ -909,19 +949,7 @@ func (s *Server) checkFn(mod *shelley.Module, fp, class string, precise bool) fu
 		for _, rep := range reports {
 			ok = ok && rep.OK()
 		}
-		status, body := jsonBody(client.CheckResponse{Fingerprint: fp, OK: ok, Reports: reports})
-		if status == http.StatusOK {
-			// Memoize the settled success so warm repeats skip the pool
-			// entirely (see moduleEntry.bodies), and write it behind the
-			// durable store so the next process boots warm. Errors never
-			// stick in either layer.
-			key := checkKey(fp, class, precise)
-			s.modules.storeBody(fp, key, body)
-			if s.store != nil {
-				s.store.Put(storeBodyKey(key), body)
-			}
-		}
-		return status, body
+		return jsonBody(client.CheckResponse{Fingerprint: fp, OK: ok, Reports: reports})
 	}
 }
 
@@ -939,24 +967,6 @@ func (s *Server) checkErrorBody(ctx context.Context, err error) (int, []byte) {
 	return errorBody(http.StatusUnprocessableEntity, err.Error())
 }
 
-// checkAllPrecise is the precise-mode module sweep: per-class Check
-// with the Precise option, honoring ctx between classes.
-func checkAllPrecise(ctx context.Context, mod *shelley.Module) ([]*shelley.Report, error) {
-	classes := mod.Classes()
-	out := make([]*shelley.Report, 0, len(classes))
-	for _, c := range classes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rep, err := c.CheckContext(ctx, shelley.Precise())
-		if err != nil {
-			return nil, fmt.Errorf("checking %s: %w", c.Name(), err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) int {
 	var req client.InferRequest
 	if err := decodeBody(w, r, s.cfg.MaxSourceBytes, &req); err != nil {
@@ -965,21 +975,21 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) int {
 	if req.Class == "" {
 		return s.writeError(w, http.StatusBadRequest, "infer needs a class")
 	}
-	mod, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint)
-	if mod == nil {
-		return errCode
+	t, rep, err := s.resolve(r.Context(), req.Source, req.Fingerprint)
+	if t.e == nil {
+		return s.respond(w, r, rep, err)
 	}
-	cls, ok := mod.Class(req.Class)
+	cls, ok := t.e.mod.Class(req.Class)
 	if !ok {
 		return s.writeError(w, http.StatusNotFound, "class "+req.Class+" not found")
 	}
-	key := strings.Join([]string{"infer", fp, req.Class, req.Operation}, "\x00")
-	return s.execute(w, r, key, func(ctx context.Context) (int, []byte) {
+	key := strings.Join([]string{"infer", t.fp, req.Class, req.Operation}, "\x00")
+	rep, err = s.answer(r.Context(), t, key, false, false, func(ctx context.Context) (int, []byte) {
 		ops := cls.Operations()
 		if req.Operation != "" {
 			ops = []string{req.Operation}
 		}
-		resp := client.InferResponse{Fingerprint: fp, Class: req.Class}
+		resp := client.InferResponse{Fingerprint: t.fp, Class: req.Class}
 		for _, op := range ops {
 			if err := ctx.Err(); err != nil {
 				return errorBody(http.StatusGatewayTimeout, "infer timed out: "+err.Error())
@@ -998,6 +1008,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) int {
 		}
 		return jsonBody(resp)
 	})
+	return s.respond(w, r, rep, err)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) int {
@@ -1008,18 +1019,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) int {
 	if req.Class == "" {
 		return s.writeError(w, http.StatusBadRequest, "trace needs a class")
 	}
-	mod, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint)
-	if mod == nil {
-		return errCode
+	t, rep, err := s.resolve(r.Context(), req.Source, req.Fingerprint)
+	if t.e == nil {
+		return s.respond(w, r, rep, err)
 	}
-	cls, ok := mod.Class(req.Class)
+	cls, ok := t.e.mod.Class(req.Class)
 	if !ok {
 		return s.writeError(w, http.StatusNotFound, "class "+req.Class+" not found")
 	}
-	key := strings.Join([]string{"trace", fp, req.Class, fmt.Sprint(req.Replay), strings.Join(req.Trace, "\x01")}, "\x00")
-	return s.execute(w, r, key, func(ctx context.Context) (int, []byte) {
+	key := strings.Join([]string{"trace", t.fp, req.Class, fmt.Sprint(req.Replay), strings.Join(req.Trace, "\x01")}, "\x00")
+	rep, err = s.answer(r.Context(), t, key, false, false, func(ctx context.Context) (int, []byte) {
 		resp := client.TraceResponse{
-			Fingerprint: fp,
+			Fingerprint: t.fp,
 			Class:       req.Class,
 			Trace:       req.Trace,
 			Accepted:    cls.RunTrace(req.Trace),
@@ -1031,6 +1042,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) int {
 		}
 		return jsonBody(resp)
 	})
+	return s.respond(w, r, rep, err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -293,10 +293,16 @@ func TestServerSaturationAndQueueTimeout(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([]error, 2)
 	wg.Add(1)
-	go func() { defer wg.Done(); _, results[0] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "slow")}) }()
+	go func() {
+		defer wg.Done()
+		_, results[0] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "slow")})
+	}()
 	<-entered // the worker now holds job 1; the queue is empty
 	wg.Add(1)
-	go func() { defer wg.Done(); _, results[1] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "fill")}) }()
+	go func() {
+		defer wg.Done()
+		_, results[1] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "fill")})
+	}()
 	waitMetric(t, cl, "shelleyd_queue_depth", 1) // job 2 fills the only slot
 
 	_, err := cl.Check(ctx, client.CheckRequest{Source: syntheticSource(3, "extra")})
@@ -502,28 +508,6 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestCoalescerUnit pins the leader/follower mechanics without HTTP.
-func TestCoalescerUnit(t *testing.T) {
-	co := newCoalescer()
-	c1, leader1 := co.get("k")
-	if !leader1 {
-		t.Fatal("first get must lead")
-	}
-	c2, leader2 := co.get("k")
-	if leader2 || c1 != c2 {
-		t.Fatal("second get must follow the same call")
-	}
-	co.forget("k")
-	c1.resolve(200, []byte("x"))
-	<-c2.done
-	if c2.status != 200 || string(c2.body) != "x" {
-		t.Fatalf("follower saw %d %q", c2.status, c2.body)
-	}
-	if _, leader3 := co.get("k"); !leader3 {
-		t.Fatal("after forget, the key must lead again")
-	}
-}
-
 // TestModuleCacheEviction keeps residency bounded.
 func TestModuleCacheEviction(t *testing.T) {
 	met := newMetrics()
@@ -531,7 +515,7 @@ func TestModuleCacheEviction(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		src := syntheticSource(1, fmt.Sprintf("ev%d", i))
-		if _, err := mc.get(ctx, client.Fingerprint(src), src); err != nil {
+		if _, _, err := mc.get(ctx, client.Fingerprint(src), src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -546,7 +530,7 @@ func TestModuleCacheEviction(t *testing.T) {
 	}
 	// Evicted modules reload transparently from source.
 	src := syntheticSource(1, "ev0")
-	if _, err := mc.get(ctx, client.Fingerprint(src), src); err != nil {
+	if _, _, err := mc.get(ctx, client.Fingerprint(src), src); err != nil {
 		t.Fatal(err)
 	}
 }

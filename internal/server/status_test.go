@@ -92,7 +92,7 @@ func TestStatusTelemetryAcceptance(t *testing.T) {
 	ctx := context.Background()
 
 	// Phase 1: the ramp. Distinct sources defeat the module cache and
-	// the coalescer, so every request is a pooled cold check that runs
+	// the response cells, so every request is a pooled cold check that runs
 	// the hook. The client measures each request with its own clock.
 	mode.Store(1)
 	measured := make([]time.Duration, 0, rampN)

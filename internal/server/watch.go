@@ -157,9 +157,9 @@ func wireDiff(d shelley.Diff) client.WatchDiff {
 	return out
 }
 
-// handleWatchPost runs one push round through the worker pool. The
-// launch key is unique per push — watch rounds mutate session state, so
-// coalescing two pushes into one execution would silently drop a
+// handleWatchPost runs one push round straight on the worker pool,
+// never through a response cell: watch rounds mutate session state, so
+// sharing one execution between two pushes would silently drop a
 // generation.
 func (s *Server) handleWatchPost(w http.ResponseWriter, r *http.Request) int {
 	if s.watch == nil {
@@ -176,8 +176,10 @@ func (s *Server) handleWatchPost(w http.ResponseWriter, r *http.Request) int {
 		return s.writeError(w, http.StatusBadRequest, "watch needs source (there is no fingerprint-only form)")
 	}
 	ws := s.watch.get(req.Session, true)
-	key := "watch\x00" + req.Session + "\x00" + strconv.FormatUint(s.watchKeySeq.Add(1), 10)
-	return s.execute(w, r, key, s.watchFn(ws, req))
+	c := newCell()
+	s.submit(r.Context(), false, s.watchFn(ws, req), c.resolve)
+	rep, err := s.await(r.Context(), c)
+	return s.respond(w, r, rep, err)
 }
 
 // watchFn is the pooled body of one push round: incremental re-check,

@@ -155,12 +155,13 @@ type RecheckResult struct {
 	Elapsed time.Duration
 }
 
-// Recheck is the one-call edit loop primitive: Update followed by a
-// verification of every class of the new generation, with the pipeline
-// activity of exactly this round measured. Unchanged classes (and
-// unchanged dependents of body-only edits) are answered from the
-// session cache; only stages whose input fingerprints moved re-execute.
-// Options (e.g. Precise) apply to every class check.
+// Recheck is the one-call edit loop primitive: Update followed by the
+// module sweep (Module.CheckAllContext on one worker) over the new
+// generation, with the pipeline activity of exactly this round
+// measured. Unchanged classes (and unchanged dependents of body-only
+// edits) are answered from the session cache; only stages whose input
+// fingerprints moved re-execute. Options (e.g. Precise) apply to every
+// class check; a check error is wrapped like CheckAllContext's.
 func (s *Session) Recheck(ctx context.Context, name string, source []byte, opts ...Option) (*RecheckResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -170,16 +171,11 @@ func (s *Session) Recheck(ctx context.Context, name string, source []byte, opts 
 		return nil, err
 	}
 	before := mod.PipelineStats()
-	reports := make([]*Report, 0, len(mod.classes))
-	for _, c := range mod.classes {
-		r, err := c.CheckContext(ctx, opts...)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
+	reports, err := mod.CheckAllContext(ctx, 1, opts...)
+	if err != nil {
+		return nil, err
 	}
-	after := mod.PipelineStats()
-	delta := after.Sub(before)
+	delta := mod.PipelineStats().Sub(before)
 	reportStage := delta.Of(pipeline.StageReport)
 	return &RecheckResult{
 		Module:         mod,

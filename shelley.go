@@ -295,17 +295,10 @@ func (m *Module) Class(name string) (*Class, bool) {
 	return nil, false
 }
 
-// CheckAll verifies every class of the module, in source order.
+// CheckAll verifies every class of the module, in source order, on the
+// calling goroutine (CheckAllContext with one worker).
 func (m *Module) CheckAll() ([]*Report, error) {
-	out := make([]*Report, 0, len(m.classes))
-	for _, c := range m.classes {
-		r, err := c.Check()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return m.CheckAllContext(context.Background(), 1)
 }
 
 // Class is the Shelley model of one annotated class, bound to its
