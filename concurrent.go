@@ -27,16 +27,15 @@ func (m *Module) CheckAllConcurrent(workers int) ([]*Report, error) {
 // concurrency-safe — so results come back in source order regardless
 // of completion order.
 //
-// The sweep first peeks the warm prefix: the leading classes whose
-// whole-class report is already memoized are collected without a span,
-// each counted once as a report hit, and only the classes after the
-// prefix are checked. A fully-warm module is therefore nothing but one
-// report-cache peek per class, with no check.module span and no
-// fan-out; the hits add one aggregated cache.hit.report count to the
-// caller's span (the pipeline's "hits annotate, misses re-time" rule
-// one level up, EXPERIMENTS.md P3). Otherwise one "check.module" span
-// brackets the rest, carrying the prefix's hit count, and each checked
-// class's "check.class" span is its child.
+// The sweep first peeks every class: classes whose whole-class report
+// is already memoized are collected without a span, each counted once
+// as a report hit, and only the rest are checked. A fully-warm module
+// is therefore nothing but one report-cache peek per class, with no
+// check.module span and no fan-out; the hits add one aggregated
+// cache.hit.report count to the caller's span (the pipeline's "hits
+// annotate, misses re-time" rule one level up, EXPERIMENTS.md P3).
+// Otherwise one "check.module" span brackets the rest, carrying the
+// hit count, and each checked class's "check.class" span is its child.
 //
 // The first analysis error (not verification finding) stops the sweep:
 // once any class fails, no further class is handed out, so a module
@@ -49,48 +48,56 @@ func (m *Module) CheckAllConcurrent(workers int) ([]*Report, error) {
 // (source-order) failing class among those actually checked; on plain
 // cancellation the result is nil and ctx's error is returned.
 func (m *Module) CheckAllContext(ctx context.Context, workers int, opts ...Option) ([]*Report, error) {
+	reports, _, err := m.sweep(ctx, workers, opts)
+	return reports, err
+}
+
+// sweep is CheckAllContext that also returns how many classes it
+// answered from a memoized report; it checked the rest.
+func (m *Module) sweep(ctx context.Context, workers int, opts []Option) ([]*Report, int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("shelley: check cancelled: %w", err)
+		return nil, 0, fmt.Errorf("shelley: check cancelled: %w", err)
 	}
 	peek := append([]check.Option{check.WithCache(m.cache)}, opts...)
 	reports := make([]*Report, len(m.classes))
-	warm := 0
-	for ; warm < len(m.classes); warm++ {
-		r, ok := check.PeekReport(ctx, m.classes[warm].model, m.registry, peek...)
-		if !ok {
-			break
+	var cold []int
+	for i, c := range m.classes {
+		if r, ok := check.PeekReport(ctx, c.model, m.registry, peek...); ok {
+			reports[i] = r
+		} else {
+			cold = append(cold, i)
 		}
-		reports[warm] = r
 	}
-	if warm == len(m.classes) {
-		obs.SpanFrom(ctx).AddCountN("cache.hit.report", uint64(warm))
-		return reports, nil
+	reused := len(m.classes) - len(cold)
+	if len(cold) == 0 {
+		obs.SpanFrom(ctx).AddCountN("cache.hit.report", uint64(reused))
+		return reports, reused, nil
 	}
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(m.classes)-warm)
+	workers = min(workers, len(cold))
 	ctx, span := obs.Start(ctx, "check.module",
 		obs.Int("classes", len(m.classes)),
 		obs.Int("workers", workers))
 	defer span.End()
-	if warm > 0 {
-		span.AddCountN("cache.hit.report", uint64(warm))
+	if reused > 0 {
+		span.AddCountN("cache.hit.report", uint64(reused))
 	}
 
 	errs := make([]error, len(m.classes))
 	var next atomic.Int64
-	next.Store(int64(warm))
 	// failed flips once on the first analysis error; every worker then
 	// stops taking classes. Context cancellation takes the same exit.
 	var failed atomic.Bool
-	sweep := func() {
+	work := func() {
 		for !failed.Load() && ctx.Err() == nil {
-			i := int(next.Add(1) - 1)
-			if i >= len(m.classes) {
+			n := int(next.Add(1) - 1)
+			if n >= len(cold) {
 				return
 			}
+			i := cold[n]
 			reports[i], errs[i] = m.classes[i].CheckContext(ctx, opts...)
 			if errs[i] != nil {
 				failed.Store(true)
@@ -102,19 +109,19 @@ func (m *Module) CheckAllContext(ctx context.Context, workers int, opts ...Optio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sweep()
+			work()
 		}()
 	}
-	sweep()
+	work()
 	wg.Wait()
 
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("shelley: checking %s: %w", m.classes[i].Name(), err)
+			return nil, 0, fmt.Errorf("shelley: checking %s: %w", m.classes[i].Name(), err)
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("shelley: check cancelled: %w", err)
+		return nil, 0, fmt.Errorf("shelley: check cancelled: %w", err)
 	}
-	return reports, nil
+	return reports, reused, nil
 }

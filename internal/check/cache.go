@@ -78,7 +78,7 @@ func flattenLimits(l budget.Limits) budget.Limits {
 // uncached, unkeyable, still being built, or cached as an error — the
 // caller then takes the normal CheckContext path. Unlike the peek in
 // CheckContext, a hit is quiet — it does not annotate any span — so
-// Module.CheckAllContext can peek its warm prefix and report one
+// Module.CheckAllContext can peek every class and report one
 // aggregated cache.hit.report count instead of one per class
 // (EXPERIMENTS.md P3).
 func PeekReport(ctx context.Context, c *model.Class, reg Registry, opts ...Option) (*Report, bool) {

@@ -9,10 +9,11 @@
 // model.Class.Fingerprint for classes, regex.Key for expressions), so
 // the cache never needs explicit invalidation: a class that changes in
 // any way hashes to fresh keys, and entries for dead content simply
-// stop being hit. Two workers that race on the same key are collapsed
-// by per-entry singleflight — the first builds while the rest block on
-// the entry's ready channel — so no artifact is ever computed twice,
-// even under CheckAllConcurrent.
+// stop being hit and age out (see addLocked), so one bounded cache can
+// serve every module and session. Two workers that race on the same
+// key are collapsed by per-entry singleflight — the first builds while
+// the rest block on the entry's ready channel — so no artifact is
+// computed twice at once, even under CheckAllConcurrent.
 //
 // Every lookup feeds the Stats observability layer: per-stage hit/miss
 // counters, build wall-time histograms, and live entry counts, exposed
@@ -112,6 +113,10 @@ func init() {
 // A power of two keeps the index computation a mask.
 const shardCount = 32
 
+// genEntries is the size of one generation across all shards, so a
+// cache holds at most 2×genEntries entries (sizing: EXPERIMENTS.md P9).
+const genEntries = 4096
+
 // Persister is the durable artifact store surface the cache reads
 // through on a miss and writes behind on a fill. Both methods must be
 // safe for concurrent use and must never block for long: Get is on the
@@ -152,9 +157,10 @@ type Cache struct {
 	persist [numStages]atomic.Pointer[persistHook]
 }
 
+// shard holds two generations; an entry lives in exactly one of them.
 type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
+	mu         sync.Mutex
+	young, old map[string]*entry
 }
 
 // entry is one singleflight cell: ready is closed once val/err are
@@ -188,9 +194,51 @@ func (c *Cache) Persist(stage Stage, p Persister, codec Codec) {
 func New() *Cache {
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*entry)
+		c.shards[i].young = make(map[string]*entry)
 	}
 	return c
+}
+
+// entryKey prefixes key with its stage, which addLocked reads back.
+func entryKey(stage Stage, key string) string {
+	return string(rune('0'+int(stage))) + key
+}
+
+// lookupLocked returns k's entry or nil, promoting an old-generation hit.
+func (c *Cache) lookupLocked(sh *shard, k string) *entry {
+	if e := sh.young[k]; e != nil {
+		return e
+	}
+	e := sh.old[k]
+	if e != nil {
+		delete(sh.old, k)
+		c.addLocked(sh, k, e)
+	}
+	return e
+}
+
+// addLocked puts e into the young generation; a full one first becomes
+// old, dropping the old one (its waiters are still released).
+func (c *Cache) addLocked(sh *shard, k string, e *entry) {
+	if len(sh.young) >= genEntries/shardCount {
+		for dk := range sh.old {
+			c.stats[dk[0]-'0'].entries.Add(-1)
+		}
+		sh.old, sh.young = sh.young, make(map[string]*entry, genEntries/shardCount)
+	}
+	sh.young[k] = e
+}
+
+// removeLocked deletes k only while it maps to e, never an entry that
+// a later caller rebuilt after e was dropped.
+func (c *Cache) removeLocked(sh *shard, k string, e *entry) {
+	for _, gen := range [...]map[string]*entry{sh.young, sh.old} {
+		if gen[k] == e {
+			delete(gen, k)
+			c.stats[k[0]-'0'].entries.Add(-1)
+			return
+		}
+	}
 }
 
 func shardIndex(key string) int {
@@ -257,10 +305,10 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 		span.End()
 		return v, err
 	}
-	k := string(rune('0'+int(stage))) + key
+	k := entryKey(stage, key)
 	sh := &c.shards[shardIndex(k)]
 	sh.mu.Lock()
-	if e, ok := sh.entries[k]; ok {
+	if e := c.lookupLocked(sh, k); e != nil {
 		sh.mu.Unlock()
 		<-e.ready
 		c.stats[stage].hits.Add(1)
@@ -268,7 +316,8 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 		return e.val, e.err
 	}
 	e := &entry{ready: make(chan struct{})}
-	sh.entries[k] = e
+	c.stats[stage].entries.Add(1)
+	c.addLocked(sh, k, e)
 	sh.mu.Unlock()
 
 	// Read-through: a durable artifact persisted by an earlier process
@@ -281,9 +330,7 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 			if v, derr := hook.codec.DecodeArtifact(raw); derr == nil {
 				e.val = v
 				close(e.ready)
-				st := &c.stats[stage]
-				st.persistHits.Add(1)
-				st.entries.Add(1)
+				c.stats[stage].persistHits.Add(1)
 				obs.SpanFrom(ctx).AddCount(hitCounters[stage])
 				return e.val, nil
 			}
@@ -303,7 +350,7 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 			// that receive it from a waiter decline to cache it too.
 			e.err = fmt.Errorf("%w: %s build for key %q: %v", ErrPanicked, stage, key, r)
 			sh.mu.Lock()
-			delete(sh.entries, k)
+			c.removeLocked(sh, k, e)
 			sh.mu.Unlock()
 			close(e.ready)
 			span.End()
@@ -319,7 +366,7 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 		// path) so the next caller rebuilds instead of inheriting a
 		// cancellation that belonged to someone else's deadline.
 		sh.mu.Lock()
-		delete(sh.entries, k)
+		c.removeLocked(sh, k, e)
 		sh.mu.Unlock()
 	}
 	close(e.ready)
@@ -327,9 +374,6 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 
 	st := &c.stats[stage]
 	st.misses.Add(1)
-	if cacheable {
-		st.entries.Add(1)
-	}
 	st.buildNanos.Add(int64(elapsed))
 	st.buckets[bucketIndex(elapsed)].Add(1)
 
@@ -347,19 +391,19 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 
 // PeekQuiet is Peek without the span annotation: a successful peek
 // still counts as a stats hit, but the caller owns reporting it to the
-// trace — Module.CheckAllContext peeks its warm prefix and adds one
+// trace — Module.CheckAllContext peeks every class and adds one
 // aggregated cache.hit.report count instead of one per class
 // (EXPERIMENTS.md P3).
 func (c *Cache) PeekQuiet(stage Stage, key string) (any, error, bool) {
 	if c == nil {
 		return nil, nil, false
 	}
-	k := string(rune('0'+int(stage))) + key
+	k := entryKey(stage, key)
 	sh := &c.shards[shardIndex(k)]
 	sh.mu.Lock()
-	e, ok := sh.entries[k]
+	e := c.lookupLocked(sh, k)
 	sh.mu.Unlock()
-	if !ok {
+	if e == nil {
 		return nil, nil, false
 	}
 	select {

@@ -60,7 +60,7 @@ func BucketLabels() []string {
 type stageCounters struct {
 	hits        atomic.Uint64
 	misses      atomic.Uint64
-	entries     atomic.Uint64
+	entries     atomic.Int64
 	persistHits atomic.Uint64
 	buildNanos  atomic.Int64
 	buckets     [NumBuckets]atomic.Uint64
@@ -78,10 +78,9 @@ type StageStats struct {
 	// Misses counts builds actually executed.
 	Misses uint64
 
-	// Entries is the number of cached artifacts (builds plus persisted
-	// artifacts resurrected by the durable layer; entries are never
-	// evicted — content-addressing makes stale entries unreachable
-	// rather than wrong).
+	// Entries is the number of live entries, in-flight builds
+	// included: dropped generations and entries deleted after a
+	// panicked or cancelled build no longer count.
 	Entries uint64
 
 	// PersistHits counts misses answered by the durable artifact store
@@ -125,7 +124,7 @@ func (c *Cache) Stats() Stats {
 		cnt := &c.stats[i]
 		st.Hits = cnt.hits.Load()
 		st.Misses = cnt.misses.Load()
-		st.Entries = cnt.entries.Load()
+		st.Entries = uint64(cnt.entries.Load())
 		st.PersistHits = cnt.persistHits.Load()
 		st.BuildTime = time.Duration(cnt.buildNanos.Load())
 		for b := range st.Buckets {
@@ -148,7 +147,7 @@ func (s Stats) Of(stage Stage) StageStats {
 // re-verification uses it to pin exactly which stages re-executed for
 // one edit (hits = artifacts reused, misses = builds actually run).
 // Counters are clamped at zero so a snapshot pair from different caches
-// degrades to zeros instead of wrapping.
+// degrades to zeros instead of wrapping; Entries, a live count, keeps s's.
 func (s Stats) Sub(prev Stats) Stats {
 	sub := func(a, b uint64) uint64 {
 		if a < b {
@@ -163,7 +162,6 @@ func (s Stats) Sub(prev Stats) Stats {
 			p := prev.Stages[i]
 			d.Hits = sub(st.Hits, p.Hits)
 			d.Misses = sub(st.Misses, p.Misses)
-			d.Entries = sub(st.Entries, p.Entries)
 			d.PersistHits = sub(st.PersistHits, p.PersistHits)
 			d.BuildTime = st.BuildTime - p.BuildTime
 			if d.BuildTime < 0 {

@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	shelley "github.com/shelley-go/shelley"
-	"github.com/shelley-go/shelley/internal/pipeline"
-	"github.com/shelley-go/shelley/internal/store"
 )
 
 // cell is one singleflight response slot, modelled on the pipeline
@@ -104,27 +102,21 @@ func (e *moduleEntry) kept(key string) bool {
 	return c != nil && isClosed(c.done)
 }
 
-// moduleCache keeps loaded modules (and their warm pipeline caches)
-// resident by content fingerprint. Residency is what turns the
-// daemon's requests from process-lifetime work into lookups: the
-// second check of an unchanged source is a fingerprint hit plus a
-// response-cell hit.
+// moduleCache keeps loaded modules resident by content fingerprint,
+// each bound to the daemon's one analysis cache. Residency turns the
+// daemon's requests from process-lifetime work into lookups: the second
+// check of an unchanged source is a fingerprint hit plus a response-cell
+// hit. Eviction drops a module's parse and cells, never its artifacts.
 type moduleCache struct {
 	mu      sync.Mutex
 	entries map[string]*moduleEntry
 	max     int
 	met     *metrics
-
-	// store, when non-nil, is attached to every freshly loaded module's
-	// report stage (Module.PersistReports): whole-class reports then
-	// read through and write behind the durable artifact store, which is
-	// what makes a restarted daemon's first source-bearing check a
-	// decode instead of a full pipeline run.
-	store *store.Store
+	cache   *shelley.Cache
 }
 
-func newModuleCache(max int, met *metrics, st *store.Store) *moduleCache {
-	return &moduleCache{entries: make(map[string]*moduleEntry), max: max, met: met, store: st}
+func newModuleCache(max int, met *metrics, cache *shelley.Cache) *moduleCache {
+	return &moduleCache{entries: make(map[string]*moduleEntry), max: max, met: met, cache: cache}
 }
 
 // get returns the resident entry for fp, loading it from source on
@@ -161,12 +153,7 @@ func (mc *moduleCache) get(ctx context.Context, fp, source string) (e *moduleEnt
 	mc.mu.Unlock()
 
 	mc.met.moduleMisses.Add(1)
-	e.mod, e.err = shelley.LoadReaderContext(ctx, shortFP(fp), strings.NewReader(source))
-	if e.err == nil && mc.store != nil {
-		// Attached before ready closes, so no check can race past a
-		// module whose persistence layer is not yet in place.
-		e.mod.PersistReports(mc.store)
-	}
+	e.mod, e.err = mc.cache.Load(ctx, shortFP(fp), strings.NewReader(source))
 	close(e.ready)
 	if e.err != nil {
 		mc.mu.Lock()
@@ -213,45 +200,6 @@ func (mc *moduleCache) settled(fp string) *moduleEntry {
 		return nil
 	}
 	return e
-}
-
-// stats sums the pipeline-cache counters of every resident module.
-func (mc *moduleCache) stats() shelley.PipelineStats {
-	mc.mu.Lock()
-	mods := make([]*shelley.Module, 0, len(mc.entries))
-	for _, e := range mc.entries {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				mods = append(mods, e.mod)
-			}
-		default:
-		}
-	}
-	mc.mu.Unlock()
-
-	var agg shelley.PipelineStats
-	for _, m := range mods {
-		s := m.PipelineStats()
-		if agg.Stages == nil {
-			agg = s
-			continue
-		}
-		for i := range agg.Stages {
-			agg.Stages[i].Hits += s.Stages[i].Hits
-			agg.Stages[i].Misses += s.Stages[i].Misses
-			agg.Stages[i].Entries += s.Stages[i].Entries
-			agg.Stages[i].PersistHits += s.Stages[i].PersistHits
-			agg.Stages[i].BuildTime += s.Stages[i].BuildTime
-			for b := range agg.Stages[i].Buckets {
-				agg.Stages[i].Buckets[b] += s.Stages[i].Buckets[b]
-			}
-		}
-	}
-	if agg.Stages == nil {
-		agg = (*pipeline.Cache)(nil).Stats()
-	}
-	return agg
 }
 
 // shortFP abbreviates a fingerprint for error labels.

@@ -172,8 +172,8 @@ type metrics struct {
 	watchEvicted  atomic.Uint64
 	watchSessions atomic.Int64
 
-	// incrementalReused counts classes answered from a watch session's
-	// warm cache across all rounds; incrementalChecked counts classes
+	// incrementalReused counts classes that watch rounds answered from
+	// the daemon's analysis cache; incrementalChecked counts classes
 	// actually re-verified. Their ratio is the edit loop's live reuse
 	// rate.
 	incrementalReused  atomic.Uint64
@@ -319,7 +319,7 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 	counter("shelleyd_watch_updates_total", "Published watch rounds (successful POST /v1/watch pushes).", m.watchUpdates.Load())
 	counter("shelleyd_watch_pushes_total", "Watch rounds delivered to long-pollers (GET /v1/watch).", m.watchPushes.Load())
 	counter("shelleyd_watch_sessions_evicted_total", "Watch sessions evicted (LRU) to respect MaxWatchSessions.", m.watchEvicted.Load())
-	counter("shelleyd_incremental_reports_reused_total", "Classes answered from a watch session's warm cache instead of re-verifying.", m.incrementalReused.Load())
+	counter("shelleyd_incremental_reports_reused_total", "Classes that watch rounds answered from the daemon's analysis cache instead of re-verifying.", m.incrementalReused.Load())
 	counter("shelleyd_incremental_classes_checked_total", "Classes actually re-verified across watch rounds.", m.incrementalChecked.Load())
 	gauge("shelleyd_watch_sessions", "Resident watch sessions.", m.watchSessions.Load())
 	gauge("shelleyd_batch_inflight_items", "Admission charge held (sync batches by item count, jobs by pool occupancy).", m.batchInflightItems.Load())
@@ -352,7 +352,7 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 
 	stageFam := metricFamily{
 		name: "shelleyd_pipeline_stage_total", kind: "counter",
-		help: "Pipeline-cache counters aggregated over resident modules.",
+		help: "Counters of the daemon's one analysis cache, shared by resident modules and watch sessions.",
 	}
 	for _, stg := range ps.Stages {
 		for _, kv := range []struct {
@@ -399,8 +399,8 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 	return fams
 }
 
-// render writes the exposition. pipelineStats aggregates the caches of
-// every resident module, so cache behavior inside the daemon is
+// render writes the exposition. pipelineStats are the counters of the
+// daemon's one analysis cache, so cache behavior inside the daemon is
 // scrapeable without a side channel; st (nil when persistence is off)
 // contributes the shelleyd_store_* family; ms (nil without -mine) the
 // mining families.

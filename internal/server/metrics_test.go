@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shelley-go/shelley/client"
 	"github.com/shelley-go/shelley/internal/mine"
 	"github.com/shelley-go/shelley/internal/pipeline"
 	"github.com/shelley-go/shelley/internal/telemetry"
@@ -291,4 +294,66 @@ func BenchmarkMetricsObserveByName(b *testing.B) {
 			m.observe("check", 200, 250*time.Microsecond)
 		}
 	})
+}
+
+// TestPipelineStageCountersMonotonic: shelleyd_pipeline_stage_total is
+// a counter family, so no sample may go down — not when the module
+// that did the work is evicted — and watch rounds count in it too,
+// because resident modules and watch sessions share one cache.
+func TestPipelineStageCountersMonotonic(t *testing.T) {
+	t.Parallel()
+	_, cl := startServer(t, Config{Workers: 2, MaxModules: 1, Watch: true})
+	ctx := context.Background()
+	scrape := func() map[string]float64 {
+		t.Helper()
+		text, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]float64)
+		for _, stage := range (*pipeline.Cache)(nil).Stats().Stages {
+			for _, kind := range []string{"hits", "misses"} {
+				name := fmt.Sprintf("shelleyd_pipeline_stage_total{stage=%q,kind=%q}", stage.Stage, kind)
+				v, ok := client.ParseMetric(text, name)
+				if !ok {
+					t.Fatalf("%s missing from /metrics", name)
+				}
+				out[name] = v
+			}
+		}
+		return out
+	}
+	nonDecreasing := func(step string, before, after map[string]float64) {
+		t.Helper()
+		for name, v := range before {
+			if after[name] < v {
+				t.Errorf("%s: %s went from %v to %v", step, name, v, after[name])
+			}
+		}
+	}
+
+	// A does more pipeline work than B, so losing A's counts on its
+	// eviction would show as a decrease.
+	if _, err := cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "A")}); err != nil {
+		t.Fatal(err)
+	}
+	afterA := scrape()
+	if _, err := cl.Check(ctx, client.CheckRequest{Source: syntheticSource(1, "B")}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, err := cl.MetricValue(ctx, "shelleyd_module_cache_evictions_total"); err != nil || v < 1 {
+		t.Fatalf("checking B evicted no module (evictions=%v, err=%v)", v, err)
+	}
+	afterB := scrape()
+	nonDecreasing("evicting A", afterA, afterB)
+
+	if _, err := cl.WatchPush(ctx, client.WatchRequest{Session: "s", Source: watchSource("op1")}); err != nil {
+		t.Fatal(err)
+	}
+	afterWatch := scrape()
+	nonDecreasing("watch push", afterB, afterWatch)
+	reportMisses := `shelleyd_pipeline_stage_total{stage="report",kind="misses"}`
+	if afterWatch[reportMisses] <= afterB[reportMisses] {
+		t.Errorf("a watch push left %s at %v: session work is invisible", reportMisses, afterWatch[reportMisses])
+	}
 }

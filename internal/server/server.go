@@ -1,8 +1,10 @@
 // Package server implements shelleyd, the resident verification
 // daemon: an HTTP/JSON serving layer over the shelley pipeline that
-// keeps loaded modules (and their memoizing pipeline caches) warm
-// across requests, bounds concurrency with a fixed worker pool and
-// queue (503 on saturation, 504 on deadline), and drains gracefully.
+// keeps loaded modules warm across requests, bounds concurrency with a
+// fixed worker pool and queue (503 on saturation, 504 on deadline), and
+// drains gracefully.
+// Every resident module and watch session is bound to the daemon's one
+// bounded analysis cache (shelley.Cache), which /metrics reads.
 //
 // Every resident module owns one singleflight response cell per request
 // key. /v1/check and each /v1/check-batch item share one path to it
@@ -329,6 +331,7 @@ func (c Config) withDefaults() Config {
 // Shutdown.
 type Server struct {
 	cfg      Config
+	cache    *shelley.Cache // the one analysis cache of modules and watch sessions
 	modules  *moduleCache
 	pool     *pool
 	met      *metrics
@@ -402,9 +405,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	met := newMetrics()
+	cache := shelley.NewCache()
+	if cfg.Store != nil {
+		// A restarted daemon then decodes stored reports, not rebuilds.
+		cache.PersistReports(cfg.Store)
+	}
 	s := &Server{
 		cfg:        cfg,
-		modules:    newModuleCache(cfg.MaxModules, met, cfg.Store),
+		cache:      cache,
+		modules:    newModuleCache(cfg.MaxModules, met, cache),
 		pool:       newPool(cfg.Workers, cfg.QueueDepth, met, cfg.jobHook),
 		met:        met,
 		mux:        http.NewServeMux(),
@@ -416,7 +425,7 @@ func New(cfg Config) *Server {
 		watchStop:  make(chan struct{}),
 	}
 	if cfg.Watch {
-		s.watch = newWatchStore(cfg.MaxWatchSessions, &met.watchEvicted, &met.watchSessions)
+		s.watch = newWatchStore(cfg.MaxWatchSessions, cache, &met.watchEvicted, &met.watchSessions)
 	}
 	s.drainCtx, s.drainCancel = context.WithCancelCause(context.Background())
 	var tracerOpts []obs.Option
@@ -437,7 +446,7 @@ func New(cfg Config) *Server {
 			Tiers:     telemetryTiers(cfg.TelemetryInterval),
 			SLOs:      cfg.SLOs,
 			Exemplars: cfg.Exemplars,
-			Source:    func() telemetry.Sample { return s.met.sample(s.modules.stats(), s.store, s.mineSnap()) },
+			Source:    func() telemetry.Sample { return s.met.sample(s.cache.Stats(), s.store, s.mineSnap()) },
 		})
 		s.latThresh = make(map[string]time.Duration)
 		for _, slo := range cfg.SLOs {
@@ -1126,7 +1135,7 @@ func (s *Server) handleTraceExport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	s.met.render(&b, s.modules.stats(), s.store, s.mineSnap())
+	s.met.render(&b, s.cache.Stats(), s.store, s.mineSnap())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, b.String())
 }

@@ -511,7 +511,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 // TestModuleCacheEviction keeps residency bounded.
 func TestModuleCacheEviction(t *testing.T) {
 	met := newMetrics()
-	mc := newModuleCache(2, met, nil)
+	mc := newModuleCache(2, met, shelley.NewCache())
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		src := syntheticSource(1, fmt.Sprintf("ev%d", i))

@@ -17,7 +17,7 @@ import (
 // long-lived incremental re-verification sessions for edit loops. An
 // editor POSTs each save to /v1/watch; the daemon diffs it against the
 // session's resident generation at method granularity, re-verifies only
-// the classes the diff invalidates (the session's pipeline cache
+// the classes the diff invalidates (the daemon's shared analysis cache
 // answers everything else), and publishes the round — full report set,
 // diff, and reuse counters — both as the POST response and to every
 // long-poller parked on GET /v1/watch. Off by default; the endpoints
@@ -52,14 +52,16 @@ type watchSession struct {
 type watchStore struct {
 	mu       sync.Mutex
 	max      int
+	cache    *shelley.Cache
 	sessions map[string]*watchSession
 	evicted  *atomic.Uint64
 	live     *atomic.Int64
 }
 
-func newWatchStore(max int, evicted *atomic.Uint64, live *atomic.Int64) *watchStore {
+func newWatchStore(max int, cache *shelley.Cache, evicted *atomic.Uint64, live *atomic.Int64) *watchStore {
 	return &watchStore{
 		max:      max,
+		cache:    cache,
 		sessions: make(map[string]*watchSession),
 		evicted:  evicted,
 		live:     live,
@@ -92,7 +94,7 @@ func (st *watchStore) get(name string, create bool) *watchSession {
 	}
 	ws = &watchSession{
 		name:     name,
-		sess:     shelley.NewSession(),
+		sess:     st.cache.NewSession(),
 		notify:   make(chan struct{}),
 		gone:     make(chan struct{}),
 		lastUsed: time.Now(),

@@ -11,14 +11,13 @@ import (
 
 	"github.com/shelley-go/shelley/internal/depgraph"
 	"github.com/shelley-go/shelley/internal/model"
-	"github.com/shelley-go/shelley/internal/pipeline"
 )
 
 // Session is the incremental re-verification surface for edit loops
 // (ROADMAP open item 4): a mutable module identity over immutable
-// per-method artifacts. One pipeline cache lives for the whole session;
-// every Update parses the incoming source into a fresh Module bound to
-// that same cache, so the content-addressed artifacts of every
+// per-method artifacts. Every Update parses the incoming source into a
+// fresh Module bound to the session's one Cache (private, or shared via
+// Cache.NewSession), so the content-addressed artifacts of every
 // unchanged method (behavior DFAs), unchanged protocol (spec automata),
 // and unchanged class (flattened automata, whole-class reports) are
 // reused across generations instead of being rebuilt. The Diff reports
@@ -33,16 +32,14 @@ import (
 // cleanly.
 type Session struct {
 	mu      sync.Mutex
-	cache   *pipeline.Cache
+	cache   *Cache
 	mod     *Module
 	srcHash string
 }
 
-// NewSession returns an empty session. The first Update (or Recheck)
-// makes a module resident; until then Module returns nil.
-func NewSession() *Session {
-	return &Session{cache: pipeline.New()}
-}
+// NewSession returns an empty session on a private cache; until the
+// first Update (or Recheck), Module returns nil.
+func NewSession() *Session { return NewCache().NewSession() }
 
 // Module returns the resident module of the session (the last
 // successful Update), or nil before the first one.
@@ -116,7 +113,7 @@ func (s *Session) updateLocked(ctx context.Context, name string, source []byte) 
 		d := Diff{Unchanged: classNames(s.mod)}
 		return s.mod, d, nil
 	}
-	mod, err := loadReaderCache(ctx, name, bytes.NewReader(source), s.cache)
+	mod, err := s.cache.Load(ctx, name, bytes.NewReader(source))
 	if err != nil {
 		return nil, Diff{}, err
 	}
@@ -140,14 +137,13 @@ type RecheckResult struct {
 	// source yields.
 	Reports []*Report
 
-	// Stats is the pipeline activity of this round alone (the delta of
-	// the session cache's counters across the re-check): hits are
-	// artifacts reused from previous generations, misses are stages
-	// that actually re-executed because an input fingerprint moved.
+	// Stats is the difference of the session cache's counters across
+	// the re-check (hits: artifacts reused; misses: stages re-executed).
+	// On a shared Cache it includes its other users' concurrent work.
 	Stats PipelineStats
 
-	// ReusedReports counts classes answered from a memoized whole-class
-	// report; CheckedClasses counts classes whose report stage re-ran.
+	// ReusedReports counts classes this round answered from a memoized
+	// whole-class report; CheckedClasses counts the ones it checked.
 	ReusedReports  int
 	CheckedClasses int
 
@@ -157,9 +153,9 @@ type RecheckResult struct {
 
 // Recheck is the one-call edit loop primitive: Update followed by the
 // module sweep (Module.CheckAllContext on one worker) over the new
-// generation, with the pipeline activity of exactly this round
-// measured. Unchanged classes (and unchanged dependents of body-only
-// edits) are answered from the session cache; only stages whose input
+// generation, with the report reuse of exactly this round counted.
+// Unchanged classes (and unchanged dependents of body-only edits) are
+// answered from the session cache; only stages whose input
 // fingerprints moved re-execute. Options (e.g. Precise) apply to every
 // class check; a check error is wrapped like CheckAllContext's.
 func (s *Session) Recheck(ctx context.Context, name string, source []byte, opts ...Option) (*RecheckResult, error) {
@@ -171,19 +167,17 @@ func (s *Session) Recheck(ctx context.Context, name string, source []byte, opts 
 		return nil, err
 	}
 	before := mod.PipelineStats()
-	reports, err := mod.CheckAllContext(ctx, 1, opts...)
+	reports, reused, err := mod.sweep(ctx, 1, opts)
 	if err != nil {
 		return nil, err
 	}
-	delta := mod.PipelineStats().Sub(before)
-	reportStage := delta.Of(pipeline.StageReport)
 	return &RecheckResult{
 		Module:         mod,
 		Diff:           d,
 		Reports:        reports,
-		Stats:          delta,
-		ReusedReports:  int(reportStage.Hits),
-		CheckedClasses: int(reportStage.Misses),
+		Stats:          mod.PipelineStats().Sub(before),
+		ReusedReports:  reused,
+		CheckedClasses: len(reports) - reused,
 		Elapsed:        time.Since(start),
 	}, nil
 }

@@ -63,9 +63,9 @@ type (
 	// method bodies run against real emulated pins (internal/pyexec).
 	Device = pyexec.Object
 
-	// PipelineStats is the observability snapshot of the module's
-	// memoizing analysis cache: per-stage hit/miss counters, entry
-	// counts, and build wall-time histograms.
+	// PipelineStats is the observability snapshot of an analysis
+	// cache: per-stage hit/miss counters, live entry counts, and build
+	// wall-time histograms.
 	PipelineStats = pipeline.Stats
 
 	// PipelineStageStats is the per-stage slice of PipelineStats.
@@ -119,17 +119,44 @@ const (
 
 // Module is a loaded MicroPython source file: its classes, the registry
 // used to resolve subsystem types, and the memoizing analysis cache
-// shared by every verification entry point of the module.
+// the module is bound to.
 type Module struct {
 	classes  []*Class
 	registry check.Registry
 
 	// cache memoizes the expensive pipeline stages across all classes
 	// and all Check/Behavior/SpecDFA/FlattenedDFA calls of the module,
-	// including concurrent ones (CheckAllConcurrent workers share it).
-	// nil when caching is disabled via SetPipelineCaching(false).
+	// including concurrent ones (CheckAllConcurrent workers share it),
+	// and across every other module bound to the same Cache. nil when
+	// caching is disabled via SetPipelineCaching(false).
 	cache *pipeline.Cache
 }
+
+// Cache is a bounded analysis cache that any number of modules and
+// sessions can share. Its artifacts are keyed by content — ⟦p⟧ per
+// method body, automata and reports per class fingerprint — so one
+// entry serves all that contain the same content. Safe for concurrent
+// use.
+type Cache struct{ pc *pipeline.Cache }
+
+// NewCache returns an empty analysis cache.
+func NewCache() *Cache { return &Cache{pc: pipeline.New()} }
+
+// NewSession returns an empty session bound to c.
+func (c *Cache) NewSession() *Session { return &Session{cache: c} }
+
+// PersistReports attaches a durable read-through/write-behind layer to
+// c's report stage: a report missing from memory is looked up in p
+// before being recomputed, and every computed report (never an error)
+// is handed to p.Put. p is a concurrency-safe, best-effort byte store,
+// such as internal/store's Store. Attach before serving traffic.
+func (c *Cache) PersistReports(p pipeline.Persister) {
+	c.pc.Persist(pipeline.StageReport, p, check.ReportCodec())
+}
+
+// Stats returns a snapshot of c's counters: the work of every module
+// and session bound to c. Safe to call concurrently with checking.
+func (c *Cache) Stats() PipelineStats { return c.pc.Stats() }
 
 // LoadReader parses and models every class of a MicroPython source
 // read from r. name labels the source in error messages (a file path,
@@ -145,15 +172,13 @@ func LoadReader(name string, r io.Reader) (*Module, error) {
 // parse and modeling of the whole source runs inside a "load.module"
 // span (child of ctx's active span) annotated with the source name and
 // class count. With no tracer in ctx it is identical to LoadReader.
+// The module gets a private cache.
 func LoadReaderContext(ctx context.Context, name string, r io.Reader) (*Module, error) {
-	return loadReaderCache(ctx, name, r, pipeline.New())
+	return NewCache().Load(ctx, name, r)
 }
 
-// loadReaderCache is the load path with an explicit pipeline cache:
-// every fresh load gets its own empty cache, while Session passes one
-// long-lived cache across module generations so artifacts of unchanged
-// methods and classes survive an edit.
-func loadReaderCache(ctx context.Context, name string, r io.Reader, cache *pipeline.Cache) (_ *Module, err error) {
+// Load is LoadReaderContext with the module bound to c.
+func (c *Cache) Load(ctx context.Context, name string, r io.Reader) (_ *Module, err error) {
 	_, span := obs.Start(ctx, "load.module", obs.String("source", name))
 	defer func() {
 		if err != nil {
@@ -169,7 +194,7 @@ func loadReaderCache(ctx context.Context, name string, r io.Reader, cache *pipel
 	if err != nil {
 		return nil, loadErr(name, err)
 	}
-	m := &Module{registry: check.Registry{}, cache: cache}
+	m := &Module{registry: check.Registry{}, cache: c.pc}
 	for _, cls := range ast.Classes {
 		mc, err := model.FromAST(cls)
 		if err != nil {
@@ -199,16 +224,7 @@ func LoadSource(src string) (*Module, error) {
 
 // LoadFile is LoadReader over a file's contents.
 func LoadFile(path string) (*Module, error) {
-	return loadFileContext(context.Background(), path)
-}
-
-func loadFileContext(ctx context.Context, path string) (*Module, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("shelley: %w", err)
-	}
-	defer f.Close()
-	return LoadReaderContext(ctx, path, f)
+	return LoadFilesContext(context.Background(), path)
 }
 
 // LoadFiles loads several files into one module, so composites can
@@ -220,9 +236,15 @@ func LoadFiles(paths ...string) (*Module, error) {
 // LoadFilesContext is LoadFiles with tracing: each file's parse gets
 // its own "load.module" span under ctx's active span.
 func LoadFilesContext(ctx context.Context, paths ...string) (*Module, error) {
-	merged := &Module{registry: check.Registry{}, cache: pipeline.New()}
+	cache := NewCache()
+	merged := &Module{registry: check.Registry{}, cache: cache.pc}
 	for _, p := range paths {
-		m, err := loadFileContext(ctx, p)
+		f, err := os.Open(p)
+		if err != nil {
+			return nil, fmt.Errorf("shelley: %w", err)
+		}
+		m, err := cache.Load(ctx, p, f)
+		f.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -238,36 +260,11 @@ func LoadFilesContext(ctx context.Context, paths ...string) (*Module, error) {
 	return merged, nil
 }
 
-// PipelineStats returns a snapshot of the module's analysis-cache
-// counters: per-stage hits, misses, entry counts, and build wall-time
-// histograms. Safe to call concurrently with checking. With caching
-// disabled the snapshot is all zeroes.
+// PipelineStats returns a snapshot of the counters of the cache the
+// module is bound to (Cache.Stats): per-stage hits, misses, live entry
+// counts, and build wall-time histograms. Safe to call concurrently
+// with checking. With caching disabled the snapshot is all zeroes.
 func (m *Module) PipelineStats() PipelineStats { return m.cache.Stats() }
-
-// ReportPersister is the durable artifact store surface PersistReports
-// accepts: a concurrency-safe, best-effort byte store (internal/store's
-// Store satisfies it). Get failures must surface as misses and Put must
-// never block — the cache treats persistence as strictly optional.
-type ReportPersister interface {
-	// Get returns the payload persisted under key, or ok=false.
-	Get(key string) ([]byte, bool)
-
-	// Put persists payload under key, best-effort.
-	Put(key string, payload []byte)
-}
-
-// PersistReports attaches a durable read-through/write-behind layer to
-// the module's report stage: a whole-class report missing from the
-// in-memory cache is looked up in p before being recomputed, and every
-// freshly computed report is serialized and handed to p.Put. Reports
-// are content-addressed (class fingerprint, analysis mode, budget, and
-// subsystem fingerprints), so persisted entries never need
-// invalidation, and only successful reports are persisted — errors
-// always recompute. Attach before serving traffic; a nil p detaches.
-// With caching disabled the call is a no-op.
-func (m *Module) PersistReports(p ReportPersister) {
-	m.cache.Persist(pipeline.StageReport, p, check.ReportCodec())
-}
 
 // SetPipelineCaching turns the module's memoization cache on or off.
 // Turning it on installs a fresh (empty) cache; turning it off makes
