@@ -97,7 +97,7 @@ func render(out io.Writer, base string, r *client.StatusResponse, exRows int) {
 		drain = " · DRAINING"
 	}
 	fmt.Fprintf(out, "shelleyd %s · up %s · tick %s%s\n\n",
-		base, (time.Duration(r.UptimeSec)*time.Second).String(), r.Interval, drain)
+		base, (time.Duration(r.UptimeSec) * time.Second).String(), r.Interval, drain)
 
 	if len(r.Alerts) > 0 {
 		for _, a := range r.Alerts {

@@ -85,7 +85,7 @@ func TestOnceAgainstDisabledTelemetry(t *testing.T) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	if err := client.New("http://" + addr).WaitReady(context.Background(), 5*time.Second); err != nil {
+	if err := client.New("http://"+addr).WaitReady(context.Background(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder

@@ -60,11 +60,13 @@ func BenchmarkEditLoopFullCheck(bb *testing.B) {
 	}
 }
 
-// BenchmarkEditLoopParseFloor measures the part of an edit round no
-// diffing can remove: parsing and modeling the full incoming source.
-// The gap between this and BenchmarkEditLoopIncremental is what the
-// one changed class's re-verification costs; the gap between this and
-// BenchmarkEditLoopFullCheck is what incrementality can ever win.
+// BenchmarkEditLoopParseFloor measures a whole-module frontend round:
+// tokenizing, parsing and modeling the full incoming source, as every
+// plain load (LoadSource, Cache.Load, the daemon's /v1/check) does. A
+// Session no longer pays it per edit: it parses only the class blocks
+// the edit changed and reuses the rest from its resident generation,
+// so BenchmarkEditLoopIncremental can cost less than parse floor plus
+// one class's re-verification.
 func BenchmarkEditLoopParseFloor(bb *testing.B) {
 	bb.ReportAllocs()
 	bb.ResetTimer()

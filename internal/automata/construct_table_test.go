@@ -22,11 +22,11 @@ func TestConstructionsAgainstOracle(t *testing.T) {
 		{"single-symbol", "a"},
 		{"three-stars-union", "a* + b* + c*"},
 		{"starred-union", "(a + b + c)*"},
-		{"plus", "a . a*"},                            // PCRE a+
-		{"nested-plus", "(a . b) . (a . b)*"},         // (ab)+
-		{"opt", "(1 + a)"},                            // a?
+		{"plus", "a . a*"},                                    // PCRE a+
+		{"nested-plus", "(a . b) . (a . b)*"},                 // (ab)+
+		{"opt", "(1 + a)"},                                    // a?
 		{"nested-opt-plus", "((1 + a) . b) . ((1 + a) . b)*"}, // (a?b)+
-		{"opt-of-plus", "(1 + (a . a*))"},             // (a+)?
+		{"opt-of-plus", "(1 + (a . a*))"},                     // (a+)?
 		{"concat-of-stars", "a* . b*"},
 		{"union-under-concat", "(a + b) . c"},
 		{"star-of-concat", "(a . b)*"},

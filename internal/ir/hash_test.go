@@ -14,12 +14,12 @@ func TestHashIgnoresExitID(t *testing.T) {
 
 func TestHashDistinguishesStructure(t *testing.T) {
 	cases := []struct{ a, b string }{
-		{"a()", "a(); skip"},                    // language-equal, syntax-distinct
-		{"a(); b()", "b(); a()"},                // order
+		{"a()", "a(); skip"},     // language-equal, syntax-distinct
+		{"a(); b()", "b(); a()"}, // order
 		{"if(*) { a() } else { b() }", "if(*) { b() } else { a() }"},
-		{"loop(*) { a() }", "a()"},              // wrapper
-		{"skip", "return"},                      // leaves
-		{"a()", "aa()"},                         // label
+		{"loop(*) { a() }", "a()"}, // wrapper
+		{"skip", "return"},         // leaves
+		{"a()", "aa()"},            // label
 	}
 	for _, c := range cases {
 		pa, pb := MustParse(c.a), MustParse(c.b)

@@ -22,8 +22,14 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s: syntax error: %s", e.Pos, e.Msg) }
 
 // ParseModule parses a whole source file.
-func ParseModule(src string) (*pyast.Module, error) {
-	toks, err := pytoken.Tokenize(src)
+func ParseModule(src string) (*pyast.Module, error) { return ParseModuleAt(src, 1) }
+
+// ParseModuleAt parses a fragment of a larger file that begins at
+// column 1 of the given line, reporting every position in the file's
+// coordinates (pytoken.TokenizeAt): ParseModule(src) ==
+// ParseModuleAt(src, 1).
+func ParseModuleAt(src string, line int) (*pyast.Module, error) {
+	toks, err := pytoken.TokenizeAt(src, line)
 	if err != nil {
 		return nil, err
 	}

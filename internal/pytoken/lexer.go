@@ -19,8 +19,13 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // stack of open indentation levels; inconsistent dedents are reported as
 // errors. Newlines inside (), [] or {} are ignored (implicit line
 // joining), as are blank lines and comment-only lines.
-func Tokenize(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1, indents: []int{0}}
+func Tokenize(src string) ([]Token, error) { return TokenizeAt(src, 1) }
+
+// TokenizeAt is Tokenize for a fragment of a larger file that begins at
+// column 1 of the given line: every position (of tokens and of errors)
+// is in the file's coordinates, so Tokenize(src) == TokenizeAt(src, 1).
+func TokenizeAt(src string, line int) ([]Token, error) {
+	l := &lexer{src: src, line: line, col: 1, indents: []int{0}}
 	if err := l.run(); err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func FuzzBatchRequest(f *testing.F) {
 		[]byte(`{"items":[{"fingerprint":"sha256:` + strings.Repeat("ff", 4096) + `"}]}`),
 		[]byte("{\"items\":[{\"fingerprint\":\"sha256:\x00\x01\x02\"}]}"),
 		[]byte(`{"items":[{"source":"x","fingerprint":"sha256:mismatch"}]}`),
-		[]byte(`{"items":[{"source":"x`), // truncated mid-string
+		[]byte(`{"items":[{"source":"x`),                              // truncated mid-string
 		[]byte(`{"items":[{"source":"x"}],"items":[{"source":"y"}]}`), // duplicated key
 		[]byte(`{"items":[{"id":"` + strings.Repeat("i", 1<<12) + `","class":"` + strings.Repeat("C", 1<<10) + `"}]}`),
 		[]byte(`[[[[[[[[{"items":1}]]]]]]]]`),

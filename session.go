@@ -1,7 +1,6 @@
 package shelley
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,21 +10,31 @@ import (
 
 	"github.com/shelley-go/shelley/internal/depgraph"
 	"github.com/shelley-go/shelley/internal/model"
+	"github.com/shelley-go/shelley/internal/pyast"
+	"github.com/shelley-go/shelley/internal/pyparse"
+	"github.com/shelley-go/shelley/internal/pytoken"
 )
 
 // Session is the incremental re-verification surface for edit loops
 // (ROADMAP open item 4): a mutable module identity over immutable
-// per-method artifacts. Every Update parses the incoming source into a
-// fresh Module bound to the session's one Cache (private, or shared via
-// Cache.NewSession), so the content-addressed artifacts of every
-// unchanged method (behavior DFAs), unchanged protocol (spec automata),
-// and unchanged class (flattened automata, whole-class reports) are
-// reused across generations instead of being rebuilt. The Diff reports
-// what moved — at class and method granularity — and predicts the
-// invalidation frontier by propagating protocol-level changes along the
-// class dependency graph; correctness never depends on that prediction,
-// because the cache keys themselves encode exactly what each stage
-// reads.
+// per-class and per-method artifacts. Every Update builds a fresh
+// Module bound to the session's one Cache (private, or shared via
+// Cache.NewSession). The frontend is incremental too: the incoming
+// source is cut at its top-level class blocks, and a block with the
+// same start line and bytes as one of the resident generation keeps
+// that generation's syntax tree and model, so only the edited classes
+// are tokenized, parsed and modeled again. A source the cut cannot
+// decide (a module-level statement, a backslash continuation, a block
+// that does not parse alone) is parsed whole, exactly as LoadSource
+// parses it. Downstream, the content-addressed artifacts of every
+// unchanged method (behavior DFAs), unchanged protocol (spec
+// automata), and unchanged class (flattened automata, whole-class
+// reports) are reused across generations instead of being rebuilt.
+// The Diff reports what moved — at class and method granularity — and
+// predicts the invalidation frontier by propagating protocol-level
+// changes along the class dependency graph; correctness never depends
+// on that prediction, because the cache keys themselves encode exactly
+// what each stage reads.
 //
 // A Session is safe for concurrent use; Update/Recheck serialize, so a
 // watch loop feeding edits and readers calling Module interleave
@@ -35,6 +44,25 @@ type Session struct {
 	cache   *Cache
 	mod     *Module
 	srcHash string
+
+	// blocks are the class blocks of the resident generation, by start
+	// line; empty when it was parsed whole (or before the first Update).
+	blocks classBlocks
+}
+
+// classBlocks maps the start line of each top-level class block of one
+// generation to what the block parsed and modeled to.
+type classBlocks map[int]classBlock
+
+// classBlock is one top-level class block: its own copy of the source
+// bytes (which the syntax tree's token text slices, so a reused tree
+// keeps alive only its block, never a whole old source), its syntax
+// tree and its model, both shared read-only by every generation that
+// reuses the block.
+type classBlock struct {
+	text  string
+	ast   *pyast.ClassDef
+	model *model.Class
 }
 
 // NewSession returns an empty session on a private cache; until the
@@ -113,14 +141,60 @@ func (s *Session) updateLocked(ctx context.Context, name string, source []byte) 
 		d := Diff{Unchanged: classNames(s.mod)}
 		return s.mod, d, nil
 	}
-	mod, err := s.cache.Load(ctx, name, bytes.NewReader(source))
+	prev := s.blocks
+	if prev == nil {
+		prev = classBlocks{}
+	}
+	mod, blocks, err := s.cache.load(ctx, name, source, prev)
 	if err != nil {
 		return nil, Diff{}, err
 	}
 	d := diffModules(s.mod, mod)
 	s.mod = mod
 	s.srcHash = hash
+	s.blocks = blocks
 	return mod, d, nil
+}
+
+// loadBlocks builds a module from the class blocks of src, taking each
+// block unchanged since prev (same start line, same bytes) from prev
+// and parsing and modeling every other one alone. It returns a nil
+// module when src does not cut into class blocks or a block fails
+// alone; the caller then parses src whole, which decides the error.
+func (c *Cache) loadBlocks(src []byte, prev classBlocks) (*Module, classBlocks) {
+	spans, ok := pytoken.ClassBlocks(src)
+	if !ok {
+		return nil, nil
+	}
+	m := c.newModule()
+	blocks := make(classBlocks, len(spans))
+	for _, sp := range spans {
+		text := src[sp.Start:sp.End]
+		b, ok := prev[sp.Line]
+		if !ok || b.text != string(text) {
+			// string(text) copies: the block's private source.
+			if b, ok = parseClassBlock(string(text), sp.Line); !ok {
+				return nil, nil
+			}
+		}
+		blocks[sp.Line] = b
+		m.add(b.ast, b.model)
+	}
+	return m, blocks
+}
+
+// parseClassBlock parses and models one class block starting at line.
+// It fails unless the block is exactly one class that models cleanly.
+func parseClassBlock(text string, line int) (classBlock, bool) {
+	mod, err := pyparse.ParseModuleAt(text, line)
+	if err != nil || len(mod.Classes) != 1 || len(mod.Stmts) != 0 {
+		return classBlock{}, false
+	}
+	mc, err := model.FromAST(mod.Classes[0])
+	if err != nil {
+		return classBlock{}, false
+	}
+	return classBlock{text: text, ast: mod.Classes[0], model: mc}, true
 }
 
 // RecheckResult is the outcome of one incremental edit-and-verify

@@ -4,6 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -265,5 +269,260 @@ func TestSessionPropertyRandomEdits(t *testing.T) {
 					trial, i, r.String(), freshReports[i].String(), src)
 			}
 		}
+	}
+}
+
+// assertSessionMatchesWhole pushes src through s and checks the outcome
+// against a cold whole-module load of src: the same error text (or
+// none), the same classes in order with deeply equal syntax trees
+// (positions included) and equal model fingerprints, and the same
+// registry.
+func assertSessionMatchesWhole(t *testing.T, s *Session, src string) {
+	t.Helper()
+	want, wantErr := LoadSource(src)
+	got, _, err := s.Update(context.Background(), "", []byte(src))
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("session load error %v, whole-module load error %v\nsource: %q", err, wantErr, src)
+	}
+	if err != nil {
+		return
+	}
+	gc, wc := got.Classes(), want.Classes()
+	if len(gc) != len(wc) {
+		t.Fatalf("session loaded %d classes, whole-module %d\nsource: %q", len(gc), len(wc), src)
+	}
+	for i, w := range wc {
+		g := gc[i]
+		if g.Name() != w.Name() || !reflect.DeepEqual(g.ast, w.ast) {
+			t.Fatalf("class %d: session tree of %s differs from whole-module tree of %s\nsource: %q", i, g.Name(), w.Name(), src)
+		}
+		if g.model.Fingerprint() != w.model.Fingerprint() {
+			t.Fatalf("class %d (%s): model fingerprints differ\nsource: %q", i, w.Name(), src)
+		}
+	}
+	for name, w := range want.registry {
+		if g := got.registry[name]; g == nil || g.Fingerprint() != w.Fingerprint() {
+			t.Fatalf("registry entry %s differs\nsource: %q", name, src)
+		}
+	}
+}
+
+// FuzzSessionParseMatchesWhole is the differential test of the
+// incremental frontend: a session's block-by-block load of a source —
+// first cold, then as an edit of another source whose unchanged blocks
+// it reuses — equals a whole-module parse of the same source.
+func FuzzSessionParseMatchesWhole(f *testing.F) {
+	const base = "@sys\nclass A:\n    @op_initial_final\n    def a(self):\n        return [\"a\"]\n\n"
+	const composite = "@sys([\"x\"])\nclass B:\n    def __init__(self):\n        self.x = A()\n\n    @op_initial_final\n    def b(self):\n        self.x.a()\n        return []\n"
+	valve, err := os.ReadFile(filepath.Join("testdata", "valve.py"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := []string{
+		strings.ReplaceAll(string(valve), "\n", "\r\n"),                                   // CRLF line endings
+		strings.TrimSuffix(base, "\n\n") + " \\\n" + composite,                            // backslash line before a class line
+		strings.Replace(base, "return", "return \\\n", 1) + composite,                     // backslash inside a class
+		strings.Replace(base, "return [\"a\"]", "x = (\n", 1) + composite + "        )\n", // class line inside an open bracket
+		"import machine\n" + base + composite,                                             // module-level statement
+		base + "@helper\ndef f():\n    return 1\n" + composite,                            // decorated module-level def
+		"# a leading comment\n\n" + base + composite,                                      // leading comment
+		base + strings.TrimSuffix(composite, "\n"),                                        // no trailing newline
+		base + composite + base,                                                           // duplicate class names
+		base + "@sys\n" + composite,                                                       // decorators stacked across a class line
+		base + "\rclass C:\n    pass\n",                                                   // carriage return at column 0
+		strings.Replace(base, "]\n", "]\x00\n", 1) + composite,                            // NUL byte
+		base + "@sys\n", // decorators with no class
+		"    " + base,   // indented first line
+		"",
+	}
+	for _, dir := range []string{"testdata", filepath.Join("testdata", "pathological")} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.py"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, string(b))
+		}
+	}
+	for _, src := range seeds {
+		f.Add(src, src+"\n"+base)                    // append a class: every old block reused
+		f.Add(src, "\n"+src)                         // shift every line: nothing reused
+		f.Add(base+composite, src)                   // replace a module wholesale
+		f.Add(src, strings.Replace(src, "(", "", 1)) // break (or keep) the first bracket
+	}
+
+	f.Fuzz(func(t *testing.T, a, b string) {
+		s := NewSession()
+		assertSessionMatchesWhole(t, s, a)
+		assertSessionMatchesWhole(t, s, b)
+	})
+}
+
+// TestSessionReusesUnchangedClasses pins the incremental frontend: after
+// a one-method edit of the 13-class edit-loop module, the twelve
+// unchanged classes keep their models (and syntax trees) from the
+// previous generation, pointer for pointer; only the edited class is
+// parsed and modeled again.
+func TestSessionReusesUnchangedClasses(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession()
+	before, _, err := s.Update(ctx, "v1", []byte(editLoopSource(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, d, err := s.Update(ctx, "v2", []byte(editLoopSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(d.Changed) != "[Ctl5]" {
+		t.Fatalf("changed %v, want [Ctl5]", d.Changed)
+	}
+	bc, ac := before.Classes(), after.Classes()
+	if len(bc) != 13 || len(ac) != 13 {
+		t.Fatalf("class counts %d, %d, want 13", len(bc), len(ac))
+	}
+	for i := range ac {
+		reused := ac[i].model == bc[i].model && ac[i].ast == bc[i].ast
+		if want := ac[i].Name() != "Ctl5"; reused != want {
+			t.Errorf("class %s: reused = %v, want %v", ac[i].Name(), reused, want)
+		}
+	}
+}
+
+// TestSessionReparsesShiftedClasses inserts a line into the middle
+// class of three: the class above keeps its model, the edited class and
+// the one below it (whose positions moved) are parsed again, and the
+// round's reports are byte-identical to a cold LoadSource + CheckAll.
+func TestSessionReparsesShiftedClasses(t *testing.T) {
+	var src strings.Builder
+	for _, f := range []string{"valve.py", "badsector.py", "goodsector.py"} {
+		b, err := os.ReadFile(filepath.Join("testdata", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Write(b)
+	}
+	edited := strings.Replace(src.String(), "class BadSector:\n", "class BadSector:\n    # an inserted line\n", 1)
+	if edited == src.String() {
+		t.Fatal("edit did not apply")
+	}
+
+	ctx := context.Background()
+	s := NewSession()
+	first, err := s.Recheck(ctx, "v1", []byte(src.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Recheck(ctx, "v2", []byte(edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range res.Module.Classes() {
+		reused := c.model == first.Module.Classes()[i].model
+		if want := c.Name() == "Valve"; reused != want {
+			t.Errorf("class %s: reused = %v, want %v", c.Name(), reused, want)
+		}
+	}
+
+	cold, err := LoadSource(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.CheckAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Reports) != len(want) {
+		t.Fatalf("%d reports, want %d", len(res.Reports), len(want))
+	}
+	for i, r := range res.Reports {
+		if r.String() != want[i].String() {
+			t.Fatalf("report %d diverged from a cold check:\n--- session ---\n%s\n--- cold ---\n%s", i, r, want[i])
+		}
+	}
+	if res.Reports[1].OK() {
+		t.Fatalf("BadSector report carries no finding:\n%s", res.Reports[1])
+	}
+}
+
+// TestSessionBrokenBlockKeepsGeneration breaks one class block of a
+// resident module: the update fails with exactly LoadSource's error
+// (text and position), and the previous generation stays resident.
+func TestSessionBrokenBlockKeepsGeneration(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession()
+	good, _, err := s.Update(ctx, "", []byte(editLoopSource(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := strings.Replace(editLoopSource(1), "class Ctl7:", "class Ctl7(:", 1)
+	_, wantErr := LoadSource(broken)
+	if wantErr == nil {
+		t.Fatal("broken source loads")
+	}
+	if _, _, err := s.Update(ctx, "", []byte(broken)); fmt.Sprint(err) != wantErr.Error() {
+		t.Fatalf("session error %v, LoadSource error %v", err, wantErr)
+	}
+	if s.Module() != good {
+		t.Fatal("a failed update replaced the resident generation")
+	}
+	// The next good edit still reuses the resident generation's blocks.
+	next, _, err := s.Update(ctx, "", []byte(editLoopSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Classes()[0].model != good.Classes()[0].model {
+		t.Fatal("the edit after a failed update reparsed an unchanged class")
+	}
+}
+
+// TestSessionBlockMemory edits every class of a 200-class module once
+// through one session. Each reused syntax tree slices the source of
+// the update that parsed it; unless each block is parsed from its own
+// copy, every update's whole source stays alive and the heap grows
+// with the number of edits. The post-GC heap at the end must stay
+// within twice its value after the first update.
+func TestSessionBlockMemory(t *testing.T) {
+	const n = 200
+	edited := make([]bool, n)
+	source := func() []byte {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			next := "a"
+			if edited[i] {
+				next = "b"
+			}
+			fmt.Fprintf(&b, "@sys\nclass C%d:\n    @op_initial_final\n    def a(self):\n        return [%q]\n\n", i, next)
+			b.WriteString("    @op_initial_final\n    def b(self):\n        return [\"a\"]\n\n")
+		}
+		return []byte(b.String())
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	ctx := context.Background()
+	s := NewSession()
+	if _, _, err := s.Update(ctx, "", source()); err != nil {
+		t.Fatal(err)
+	}
+	first := heap()
+	for i := 0; i < n; i++ {
+		edited[i] = true
+		if _, d, err := s.Update(ctx, "", source()); err != nil || len(d.Changed) != 1 {
+			t.Fatalf("edit %d: changed %v, err %v", i, d.Changed, err)
+		}
+	}
+	last := heap()
+	runtime.KeepAlive(s)
+	t.Logf("post-GC heap %d KB after the first update, %d KB after %d edits", first/1024, last/1024, n)
+	if last > 2*first {
+		t.Errorf("heap grew from %d KB to %d KB over %d one-class edits (> 2x)", first/1024, last/1024, n)
 	}
 }

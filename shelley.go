@@ -178,7 +178,24 @@ func LoadReaderContext(ctx context.Context, name string, r io.Reader) (*Module, 
 }
 
 // Load is LoadReaderContext with the module bound to c.
-func (c *Cache) Load(ctx context.Context, name string, r io.Reader) (_ *Module, err error) {
+func (c *Cache) Load(ctx context.Context, name string, r io.Reader) (*Module, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, loadErr(name, err)
+	}
+	m, _, err := c.load(ctx, name, b, nil)
+	return m, err
+}
+
+// load parses and models src into a module bound to c, inside a
+// "load.module" span. A session passes prev, the class blocks of its
+// resident generation (empty, not nil, on its first update): when src
+// cuts into class blocks, the module is then built block by block,
+// reusing every block of prev with the same start line and bytes, and
+// the new generation's blocks are returned. Otherwise the whole source
+// is parsed at once, so errors and their positions are those of
+// ParseModule.
+func (c *Cache) load(ctx context.Context, name string, src []byte, prev classBlocks) (_ *Module, _ classBlocks, err error) {
 	_, span := obs.Start(ctx, "load.module", obs.String("source", name))
 	defer func() {
 		if err != nil {
@@ -186,25 +203,36 @@ func (c *Cache) Load(ctx context.Context, name string, r io.Reader) (_ *Module, 
 		}
 		span.End()
 	}()
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, loadErr(name, err)
+	if prev != nil {
+		if m, blocks := c.loadBlocks(src, prev); m != nil {
+			span.SetAttr(obs.Int("classes", len(m.classes)))
+			return m, blocks, nil
+		}
 	}
-	ast, err := pyparse.ParseModule(string(b))
+	ast, err := pyparse.ParseModule(string(src))
 	if err != nil {
-		return nil, loadErr(name, err)
+		return nil, nil, loadErr(name, err)
 	}
-	m := &Module{registry: check.Registry{}, cache: c.pc}
+	m := c.newModule()
 	for _, cls := range ast.Classes {
 		mc, err := model.FromAST(cls)
 		if err != nil {
-			return nil, loadErr(name, err)
+			return nil, nil, loadErr(name, err)
 		}
-		m.registry[mc.Name] = mc
-		m.classes = append(m.classes, &Class{model: mc, ast: cls, module: m})
+		m.add(cls, mc)
 	}
 	span.SetAttr(obs.Int("classes", len(m.classes)))
-	return m, nil
+	return m, nil, nil
+}
+
+// newModule returns an empty module bound to c.
+func (c *Cache) newModule() *Module { return &Module{registry: check.Registry{}, cache: c.pc} }
+
+// add appends a parsed and modeled class to the module; a later class
+// of the same name takes over the registry entry.
+func (m *Module) add(ast *pyast.ClassDef, mc *model.Class) {
+	m.registry[mc.Name] = mc
+	m.classes = append(m.classes, &Class{model: mc, ast: ast, module: m})
 }
 
 // loadErr wraps a load failure, labeling it with the source name when
@@ -237,7 +265,7 @@ func LoadFiles(paths ...string) (*Module, error) {
 // its own "load.module" span under ctx's active span.
 func LoadFilesContext(ctx context.Context, paths ...string) (*Module, error) {
 	cache := NewCache()
-	merged := &Module{registry: check.Registry{}, cache: cache.pc}
+	merged := cache.newModule()
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
