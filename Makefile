@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench cover fuzz experiments clean
+.PHONY: all build vet test race bench bench-record cover fuzz experiments clean
 
 all: build vet test
 
@@ -18,6 +18,19 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./... | tee bench_output.txt
+
+# Run every perfbench workload once (seed 1, 10 s, per-layer tracing on)
+# and collect the three result files into BENCH_<date>.json, the record
+# of the benchmark trajectory.
+BENCH_WORKLOADS = cold-check warm-hit edit-loop
+BENCH_RESULTS = $(or $(CARGO_TARGET_DIR),.bench_build)/perfbench-out/results
+
+bench-record:
+	set -e; for w in $(BENCH_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 1; \
+	done
+	jq -s . $(BENCH_WORKLOADS:%=$(BENCH_RESULTS)/%.seed1.trace1.json) > BENCH_$$(date +%F).json
+	jq -e 'all(.result.correct and .result.failed == 0)' BENCH_$$(date +%F).json > /dev/null
 
 cover:
 	$(GO) test -cover ./...

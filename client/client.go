@@ -167,8 +167,8 @@ func ParseMetric(text, name string) (value float64, ok bool) {
 }
 
 // WaitReady polls /healthz until the daemon answers healthy or the
-// deadline passes — the startup handshake used by tests and the
-// selfcheck load generator.
+// deadline passes — the startup handshake used by tests and by
+// perfbench before it drives a live daemon.
 func (c *Client) WaitReady(ctx context.Context, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

@@ -7,19 +7,10 @@
 // Usage:
 //
 //	shelleyd [-addr HOST:PORT] [-workers N] [-queue N] [-timeout D] ...
-//	shelleyd -selfcheck [-corpus DIR] [-clients N] [-requests N]
-//	shelleyd -selfcheck-batch [-corpus DIR] [-clients N] [-requests N]
 //
-// Serve mode runs until SIGTERM/SIGINT, then drains: new requests are
+// The daemon runs until SIGTERM/SIGINT, then drains: new requests are
 // refused while every admitted request completes and is delivered.
-// Selfcheck mode boots an in-process daemon and hammers it with the
-// corpus (every .py under -corpus) from many concurrent clients,
-// cross-checking responses against direct library calls — a one-shot
-// load generator for smoke tests and CI. Selfcheck-batch is the same
-// idea over the streaming batch endpoint: each client streams
-// whole-corpus /v1/check-batch requests (-requests batches each),
-// honoring Retry-After on admission refusals, and reports items/s with
-// per-batch latency percentiles.
+// To put load on a live daemon, run the benchmark harness in perfbench/.
 //
 // Endpoints: POST /v1/check, /v1/check-batch, /v1/jobs, /v1/infer,
 // /v1/trace, /v1/ingest (-mine), /v1/watch (-watch); GET /v1/jobs/{id},
@@ -32,10 +23,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,16 +33,11 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the DefaultServeMux, served only on the opt-in -pprof listener
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	shelley "github.com/shelley-go/shelley"
-	"github.com/shelley-go/shelley/client"
 	"github.com/shelley-go/shelley/internal/obs"
 	"github.com/shelley-go/shelley/internal/server"
 	"github.com/shelley-go/shelley/internal/store"
@@ -104,11 +87,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) (int, error) {
 	checkWorkers := fs.Int("check-workers", 1, "per-request CheckAllContext fan-out")
 	maxModules := fs.Int("max-modules", 256, "resident-module bound")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget on SIGTERM")
-	selfcheck := fs.Bool("selfcheck", false, "boot an in-process daemon, hammer it with the corpus, verify, exit")
-	selfcheckBatch := fs.Bool("selfcheck-batch", false, "boot an in-process daemon, stream corpus batches from concurrent clients, cross-check every record, exit")
-	corpus := fs.String("corpus", "testdata", "selfcheck: directory of .py sources")
-	clients := fs.Int("clients", 16, "selfcheck: concurrent clients")
-	requests := fs.Int("requests", 32, "selfcheck: requests per client")
 	quiet := fs.Bool("quiet", false, "suppress the per-request access log")
 	traceFile := fs.String("trace", "", "enable span tracing and write the ring buffer to this file at shutdown")
 	traceFormat := fs.String("trace-format", "chrome", "trace file format: chrome or otlp")
@@ -178,13 +156,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) (int, error) {
 			*storeDir, stats.Entries, stats.Bytes, stats.Corrupt)
 	}
 
-	if *selfcheck {
-		return runSelfcheck(out, cfg, *corpus, *clients, *requests)
-	}
-	if *selfcheckBatch {
-		return runSelfcheckBatch(out, cfg, *corpus, *clients, *requests)
-	}
-
 	if *pprofAddr != "" {
 		// pprof gets its own listener so profiling exposure is an explicit
 		// operator decision, never reachable through the service port.
@@ -219,354 +190,4 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) (int, error) {
 	}
 	fmt.Fprintln(out, "shelleyd: drained clean")
 	return 0, nil
-}
-
-// corpusSource is one selfcheck workload unit with its precomputed
-// direct-library expectation.
-type corpusSource struct {
-	name    string
-	source  string
-	fp      string
-	class   string // first class, for infer/trace requests
-	wantErr bool   // direct CheckAll fails (e.g. unresolved subsystem)
-	wantRep []byte // JSON of the direct reports when wantErr is false
-}
-
-func runSelfcheck(out io.Writer, cfg server.Config, corpusDir string, clients, requests int) (int, error) {
-	// The direct-library expectations must be computed under the same
-	// resource budget the server will apply, or pathological sources
-	// would diverge (or never terminate) on the client side.
-	limits := cfg.Limits
-	if limits.Unlimited() {
-		limits = shelley.DefaultBudget()
-	}
-	sources, err := loadCorpus(corpusDir, limits)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprintf(out, "selfcheck: %d sources, %d clients × %d requests\n", len(sources), clients, requests)
-
-	// A selfcheck run is short, so tighten the telemetry clock: the
-	// rolling windows need several snapshots inside the run to report
-	// nonzero rates before the daemon drains.
-	if cfg.Telemetry && cfg.TelemetryInterval > 100*time.Millisecond {
-		cfg.TelemetryInterval = 100 * time.Millisecond
-	}
-
-	srv := server.New(cfg)
-	bound, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		return 2, err
-	}
-	cl := client.New("http://" + bound)
-	ctx := context.Background()
-	if err := cl.WaitReady(ctx, 5*time.Second); err != nil {
-		return 2, err
-	}
-
-	var failures atomic.Int64
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < requests; i++ {
-				src := sources[(c+i)%len(sources)]
-				if err := hitOnce(ctx, cl, src, (c+i)%3); err != nil {
-					failures.Add(1)
-					fmt.Fprintf(out, "selfcheck: %s: %v\n", src.name, err)
-				}
-				done.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	metrics, err := cl.Metrics(ctx)
-	if err != nil {
-		return 1, fmt.Errorf("scraping metrics: %w", err)
-	}
-	for _, name := range []string{
-		"shelleyd_coalesced_total",
-		"shelleyd_module_cache_hits_total",
-		"shelleyd_module_cache_misses_total",
-	} {
-		if v, ok := client.ParseMetric(metrics, name); ok {
-			fmt.Fprintf(out, "selfcheck: %s = %.0f\n", name, v)
-		}
-	}
-
-	if cfg.Telemetry {
-		// Let the engine snapshot the tail of the load, then hold
-		// /v1/status to its contract: the load must show up as nonzero
-		// rolling rates and breaching requests in the exemplar ring.
-		time.Sleep(3 * cfg.TelemetryInterval)
-		status, err := cl.Status(ctx)
-		if err != nil {
-			return 1, fmt.Errorf("scraping /v1/status: %w", err)
-		}
-		var checkRate float64
-		for _, ep := range status.Endpoints {
-			if ep.Endpoint != "check" {
-				continue
-			}
-			if w, ok := ep.Windows["10s"]; ok {
-				checkRate = w.Rate
-				fmt.Fprintf(out, "selfcheck: status: check 10s rate=%.1f/s p50=%s p99=%s total=%d\n",
-					w.Rate, w.P50, w.P99, w.Total)
-			}
-		}
-		fmt.Fprintf(out, "selfcheck: status: %d exemplars, %d alerts, %d slos\n",
-			len(status.Exemplars), len(status.Alerts), len(status.SLOs))
-		if checkRate <= 0 {
-			failures.Add(1)
-			fmt.Fprintln(out, "selfcheck: /v1/status reports zero rolling check rate under load")
-		}
-		if len(status.Exemplars) == 0 {
-			failures.Add(1)
-			fmt.Fprintln(out, "selfcheck: /v1/status exemplar ring is empty under load")
-		}
-	}
-
-	drainCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return 1, fmt.Errorf("drain incomplete: %w", err)
-	}
-	fmt.Fprintf(out, "selfcheck: %d requests, %d failures, drained clean\n", done.Load(), failures.Load())
-	if failures.Load() > 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// hitOnce drives one request of the mixed workload: full checks
-// (verified byte-identical against the direct library), cache-only
-// fingerprint re-checks, and infer/trace calls.
-func hitOnce(ctx context.Context, cl *client.Client, src corpusSource, mode int) error {
-	switch mode {
-	case 0: // full check with source upload
-		resp, err := cl.Check(ctx, client.CheckRequest{Source: src.source})
-		return verifyCheck(src, resp, err)
-	case 1: // cache-only re-check by fingerprint (fall back to upload on 404)
-		resp, err := cl.Check(ctx, client.CheckRequest{Fingerprint: src.fp})
-		if apiErr, ok := err.(*client.APIError); ok && apiErr.StatusCode == 404 {
-			resp, err = cl.Check(ctx, client.CheckRequest{Source: src.source})
-		}
-		return verifyCheck(src, resp, err)
-	default: // infer + trace on the first class
-		if src.class == "" {
-			return nil
-		}
-		if _, err := cl.Infer(ctx, client.InferRequest{Source: src.source, Class: src.class}); err != nil {
-			return fmt.Errorf("infer: %w", err)
-		}
-		if _, err := cl.Trace(ctx, client.TraceRequest{Source: src.source, Class: src.class, Trace: nil}); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		return nil
-	}
-}
-
-func verifyCheck(src corpusSource, resp *client.CheckResponse, err error) error {
-	if src.wantErr {
-		if err == nil {
-			return fmt.Errorf("check unexpectedly succeeded (direct CheckAll fails)")
-		}
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("check: %w", err)
-	}
-	got, merr := json.Marshal(resp.Reports)
-	if merr != nil {
-		return merr
-	}
-	if !bytes.Equal(got, src.wantRep) {
-		return fmt.Errorf("reports differ from direct library call:\nserver: %s\ndirect: %s", got, src.wantRep)
-	}
-	return nil
-}
-
-func loadCorpus(dir string, limits shelley.Budget) ([]corpusSource, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.py"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	ctx := shelley.WithBudget(context.Background(), limits)
-	var out []corpusSource
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		src := corpusSource{name: filepath.Base(p), source: string(b), fp: client.Fingerprint(string(b))}
-		mod, err := shelley.LoadFile(p)
-		if err != nil {
-			continue // unparsable files are not workload
-		}
-		if classes := mod.Classes(); len(classes) > 0 {
-			src.class = classes[0].Name()
-		}
-		reports, err := mod.CheckAllContext(ctx, 1)
-		if err != nil {
-			src.wantErr = true
-		} else {
-			src.wantRep, err = json.Marshal(reports)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, src)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no loadable .py sources under %s", dir)
-	}
-	return out, nil
-}
-
-// runSelfcheckBatch is the batch-mode load generator: concurrent
-// clients stream whole-corpus /v1/check-batch requests against an
-// in-process daemon, every record is cross-checked against the direct
-// library expectation, and admission refusals are honored by sleeping
-// out the daemon's Retry-After hint — so the run both exercises and
-// demonstrates the backpressure contract. Reports items/s plus
-// per-batch latency percentiles.
-func runSelfcheckBatch(out io.Writer, cfg server.Config, corpusDir string, clients, batches int) (int, error) {
-	limits := cfg.Limits
-	if limits.Unlimited() {
-		limits = shelley.DefaultBudget()
-	}
-	sources, err := loadCorpus(corpusDir, limits)
-	if err != nil {
-		return 2, err
-	}
-	fmt.Fprintf(out, "selfcheck-batch: %d sources, %d clients × %d batches\n", len(sources), clients, batches)
-
-	srv := server.New(cfg)
-	bound, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		return 2, err
-	}
-	ctx := context.Background()
-	if err := client.New("http://"+bound).WaitReady(ctx, 5*time.Second); err != nil {
-		return 2, err
-	}
-
-	var failures, items, retries atomic.Int64
-	latencies := make([][]time.Duration, clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			bcl := client.New("http://"+bound, client.WithToken(fmt.Sprintf("selfcheck-%d", c)))
-			for i := 0; i < batches; i++ {
-				elapsed, err := runOneBatch(ctx, bcl, sources, c+i, &items, &retries)
-				if err != nil {
-					failures.Add(1)
-					fmt.Fprintf(out, "selfcheck-batch: client %d batch %d: %v\n", c, i, err)
-					continue
-				}
-				latencies[c] = append(latencies[c], elapsed)
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	var all []time.Duration
-	for _, l := range latencies {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) time.Duration {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(all)-1))
-		return all[i]
-	}
-	fmt.Fprintf(out, "selfcheck-batch: %d items in %s (%.0f items/s), %d admission retries, batch p50 %s p99 %s\n",
-		items.Load(), wall.Round(time.Millisecond), float64(items.Load())/wall.Seconds(),
-		retries.Load(), pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
-
-	drainCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return 1, fmt.Errorf("drain incomplete: %w", err)
-	}
-	fmt.Fprintf(out, "selfcheck-batch: %d failures, drained clean\n", failures.Load())
-	if failures.Load() > 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// runOneBatch streams one whole-corpus batch and cross-checks every
-// record: verified sources must embed the direct library's report
-// bytes, sources the library rejects must come back as non-200 records
-// that leave the rest of the batch untouched. 429/503 refusals sleep
-// out the Retry-After hint and resubmit.
-func runOneBatch(ctx context.Context, bcl *client.Client, sources []corpusSource, rot int, items, retries *atomic.Int64) (time.Duration, error) {
-	req := client.BatchRequest{Items: make([]client.BatchItem, len(sources))}
-	for i := range sources {
-		src := sources[(rot+i)%len(sources)]
-		req.Items[i] = client.BatchItem{ID: src.name, Source: src.source}
-	}
-	start := time.Now()
-	var stream *client.BatchStream
-	for {
-		var err error
-		stream, err = bcl.CheckBatch(ctx, req)
-		if err == nil {
-			break
-		}
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Temporary() {
-			retries.Add(1)
-			time.Sleep(apiErr.RetryAfter)
-			continue
-		}
-		return 0, err
-	}
-	defer stream.Close()
-	for {
-		rec, err := stream.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-		items.Add(1)
-		src := sources[(rot+rec.Index)%len(sources)]
-		if src.wantErr {
-			if rec.Status == http.StatusOK {
-				return 0, fmt.Errorf("item %s: record OK but direct CheckAll fails", src.name)
-			}
-			continue
-		}
-		if rec.Status != http.StatusOK {
-			return 0, fmt.Errorf("item %s: status %d: %s", src.name, rec.Status, rec.Error)
-		}
-		resp, err := rec.CheckResponse()
-		if err != nil {
-			return 0, err
-		}
-		got, err := json.Marshal(resp.Reports)
-		if err != nil {
-			return 0, err
-		}
-		if !bytes.Equal(got, src.wantRep) {
-			return 0, fmt.Errorf("item %s: reports differ from direct library call:\nserver: %s\ndirect: %s", src.name, got, src.wantRep)
-		}
-	}
-	if sum := stream.Summary(); sum == nil || sum.Error != "" {
-		return 0, fmt.Errorf("batch did not complete clean: %+v", sum)
-	}
-	return time.Since(start), nil
 }

@@ -97,34 +97,6 @@ func TestRunServeSIGTERMDrain(t *testing.T) {
 	}
 }
 
-// TestRunSelfcheck exercises the built-in load generator end to end
-// against the real testdata corpus.
-func TestRunSelfcheck(t *testing.T) {
-	out := &syncBuffer{}
-	code, err := run([]string{
-		"-selfcheck",
-		"-corpus", filepath.Join("..", "..", "testdata"),
-		"-clients", "8", "-requests", "12",
-	}, out, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("selfcheck exit = %d\n%s", code, out.String())
-	}
-	text := out.String()
-	for _, want := range []string{
-		"0 failures", "drained clean", "shelleyd_module_cache_hits_total",
-		// Telemetry is on by default: the run must scrape /v1/status and
-		// see its own load as rolling rates and exemplars.
-		"selfcheck: status: check 10s rate=", "exemplars",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("selfcheck output missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // TestRunServeStatusAndSLOFlags boots serve mode with a custom -slo and
 // a fast telemetry clock, drives one check, and reads the objective
 // back through client.Status.
@@ -218,32 +190,5 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if code, err := run([]string{"stray"}, out, nil); err == nil || code != 2 {
 		t.Errorf("stray arg: (%d, %v), want code 2 and error", code, err)
-	}
-	if code, err := run([]string{"-selfcheck", "-corpus", "/nonexistent"}, out, nil); err == nil || code != 2 {
-		t.Errorf("bad corpus: (%d, %v), want code 2 and error", code, err)
-	}
-}
-
-// TestRunSelfcheckBatch exercises the batch-mode load generator end to
-// end: every streamed record is cross-checked against the direct
-// library, so a pass is a whole-corpus wire-consistency proof.
-func TestRunSelfcheckBatch(t *testing.T) {
-	out := &syncBuffer{}
-	code, err := run([]string{
-		"-selfcheck-batch",
-		"-corpus", filepath.Join("..", "..", "testdata"),
-		"-clients", "4", "-requests", "3",
-	}, out, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("selfcheck-batch exit = %d\n%s", code, out.String())
-	}
-	text := out.String()
-	for _, want := range []string{"0 failures", "drained clean", "items/s", "batch p50"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("selfcheck-batch output missing %q:\n%s", want, text)
-		}
 	}
 }

@@ -53,11 +53,27 @@ func (l *lexer) emit(kind Kind, text string, pos Pos) {
 	l.toks = append(l.toks, Token{Kind: kind, Text: text, Pos: pos})
 }
 
+// nulMsg is the error for a NUL byte anywhere before the end of input.
+const nulMsg = "source code cannot contain null bytes"
+
+// peek returns the next byte, or 0 at the end of input. A NUL byte
+// inside the source also peeks as 0, so wherever the lexer stops on a 0
+// it tells the two apart by the offset (run, endError).
 func (l *lexer) peek() byte {
 	if l.off >= len(l.src) {
 		return 0
 	}
 	return l.src[l.off]
+}
+
+// endError is the error for a 0 from peek: a NUL byte inside the source
+// is an error at its own position, whatever it interrupts; at the real
+// end of input the error is msg at pos.
+func (l *lexer) endError(pos Pos, msg string) error {
+	if l.off < len(l.src) {
+		return l.errorf(nulMsg)
+	}
+	return &Error{Pos: pos, Msg: msg}
 }
 
 func (l *lexer) peekAt(n int) byte {
@@ -92,6 +108,9 @@ func (l *lexer) run() error {
 		c := l.peek()
 		switch {
 		case c == 0:
+			if l.off < len(l.src) {
+				return l.errorf(nulMsg)
+			}
 			// Close the final logical line and any open blocks.
 			if n := len(l.toks); n > 0 && l.toks[n-1].Kind != Newline && l.toks[n-1].Kind != Indent && l.toks[n-1].Kind != Dedent {
 				l.emit(Newline, "", l.pos())
@@ -122,10 +141,10 @@ func (l *lexer) run() error {
 			for l.peek() != '\n' && l.peek() != 0 {
 				l.advance()
 			}
-		case c == '\\' && l.peekAt(1) == '\n':
-			// Explicit line joining.
-			l.advance()
-			l.advance()
+		case c == '\\' && (l.peekAt(1) == '\n' || l.peekAt(1) == '\r' && l.peekAt(2) == '\n'):
+			// Explicit line joining, after an LF or a CRLF line end.
+			for l.advance() != '\n' {
+			}
 		case c == '"' || c == '\'':
 			if err := l.lexString(); err != nil {
 				return err
@@ -166,7 +185,7 @@ func (l *lexer) handleIndentation() error {
 				l.advance()
 			}
 		case 0:
-			return nil // EOF handling in run()
+			return nil // end of input or a NUL byte: run() tells them apart
 		default:
 			goto measured
 		}
@@ -196,13 +215,15 @@ func (l *lexer) lexString() error {
 	for {
 		c := l.peek()
 		switch c {
-		case 0, '\n':
+		case 0:
+			return l.endError(pos, "unterminated string literal")
+		case '\n':
 			return &Error{Pos: pos, Msg: "unterminated string literal"}
 		case '\\':
 			l.advance()
 			esc := l.peek()
 			if esc == 0 {
-				return &Error{Pos: pos, Msg: "unterminated string literal"}
+				return l.endError(pos, "unterminated string literal")
 			}
 			l.advance()
 			switch esc {

@@ -1,6 +1,9 @@
 package pytoken
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func kinds(toks []Token) []Kind {
 	out := make([]Kind, len(toks))
@@ -75,6 +78,57 @@ func TestImplicitLineJoining(t *testing.T) {
 
 func TestExplicitLineJoining(t *testing.T) {
 	assertKinds(t, "x = 1 + \\\n2\n", []Kind{Name, Assign, Number, Plus, Number, Newline, EOF})
+}
+
+// TestExplicitLineJoiningCRLF pins that a backslash before a CRLF line
+// end joins lines exactly as one before an LF does, positions included.
+func TestExplicitLineJoiningCRLF(t *testing.T) {
+	lf, err := Tokenize("if x:\n    y = 1 + \\\n        2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crlf, err := Tokenize("if x:\r\n    y = 1 + \\\r\n        2\r\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(crlf) != len(lf) {
+		t.Fatalf("CRLF gave %d tokens, LF %d", len(crlf), len(lf))
+	}
+	for i := range lf {
+		// A NEWLINE sits at the end of its line, one column later
+		// after the carriage return.
+		if lf[i].Kind == Newline {
+			lf[i].Pos.Col++
+		}
+		if crlf[i] != lf[i] {
+			t.Fatalf("token %d = %+v, want %+v", i, crlf[i], lf[i])
+		}
+	}
+}
+
+// TestNULIsAnError pins that a NUL byte before the end of input is a
+// lexical error at its own position, wherever it sits, and never an
+// early end of file.
+func TestNULIsAnError(t *testing.T) {
+	for _, tt := range []struct{ src, pos string }{
+		{"x = 1\x00\ny = 2\n", "1:6"},                 // code
+		{"x = 1\n# note \x00 more\ny = 2\n", "2:8"},   // comment
+		{"if x:\n  \x00  y = 2\n", "2:3"},             // indentation
+		{"x = 1\n\x00\n", "2:1"},                      // a line of its own
+		{"s = 'a\x00b'\n", "1:7"},                     // string
+		{"s = 'a\\\x00'\n", "1:8"},                    // string escape
+		{"class A:\n    pass\n\x00class B:\n", "3:1"}, // between classes
+	} {
+		_, err := Tokenize(tt.src)
+		var lexErr *Error
+		if !errors.As(err, &lexErr) {
+			t.Errorf("Tokenize(%q) = %v, want a *Error", tt.src, err)
+			continue
+		}
+		if want := tt.pos + ": source code cannot contain null bytes"; err.Error() != want {
+			t.Errorf("Tokenize(%q) = %q, want %q", tt.src, err, want)
+		}
+	}
 }
 
 func TestKeywordsAndNames(t *testing.T) {

@@ -165,6 +165,15 @@ func TestCheckErrorMapping(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != 422 {
 		t.Errorf("unresolved subsystem: err = %v, want 422", err)
 	}
+
+	// A NUL byte between two classes is a lexical error at its line and
+	// column, not an end of file that drops the second class.
+	valve := readTestdata(t, "valve.py")
+	_, err = cl.Check(ctx, client.CheckRequest{Source: valve + "\x00" + readTestdata(t, "sector.py")})
+	want := fmt.Sprintf("%d:1: source code cannot contain null bytes", strings.Count(valve, "\n")+1)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != 422 || !strings.Contains(apiErr.Message, want) {
+		t.Errorf("NUL byte: err = %v, want 422 naming %q", err, want)
+	}
 }
 
 func TestInferEndpoint(t *testing.T) {

@@ -307,6 +307,9 @@ func assertSessionMatchesWhole(t *testing.T, s *Session, src string) {
 	}
 }
 
+// crlf gives src CRLF line ends.
+func crlf(src string) string { return strings.ReplaceAll(src, "\n", "\r\n") }
+
 // FuzzSessionParseMatchesWhole is the differential test of the
 // incremental frontend: a session's block-by-block load of a source —
 // first cold, then as an edit of another source whose unchanged blocks
@@ -319,7 +322,7 @@ func FuzzSessionParseMatchesWhole(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds := []string{
-		strings.ReplaceAll(string(valve), "\n", "\r\n"),                                   // CRLF line endings
+		crlf(string(valve)), // CRLF line endings
 		strings.TrimSuffix(base, "\n\n") + " \\\n" + composite,                            // backslash line before a class line
 		strings.Replace(base, "return", "return \\\n", 1) + composite,                     // backslash inside a class
 		strings.Replace(base, "return [\"a\"]", "x = (\n", 1) + composite + "        )\n", // class line inside an open bracket
@@ -331,6 +334,11 @@ func FuzzSessionParseMatchesWhole(f *testing.F) {
 		base + "@sys\n" + composite,                                                       // decorators stacked across a class line
 		base + "\rclass C:\n    pass\n",                                                   // carriage return at column 0
 		strings.Replace(base, "]\n", "]\x00\n", 1) + composite,                            // NUL byte
+		"# a leading \x00 comment\n" + base + composite,                                   // NUL byte above the first class
+		"# only a comment \x00\n",                                                         // NUL byte in a source with no class
+		crlf(strings.TrimSuffix(base, "\n\n") + " \\\n" + composite),                      // backslash-CRLF before a decorator line
+		crlf(strings.TrimSuffix(base, "\n\n") + " \\\nclass C:\n    pass\n"),              // backslash-CRLF before a class line
+		crlf(strings.Replace(base, "return", "return \\\n", 1) + composite),               // backslash-CRLF inside a class
 		base + "@sys\n", // decorators with no class
 		"    " + base,   // indented first line
 		"",

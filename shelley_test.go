@@ -1,6 +1,8 @@
 package shelley
 
 import (
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -87,6 +89,47 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := LoadSource("@sys\nclass C:\n    pass\n"); err == nil {
 		t.Error("class without operations should surface a model error")
+	}
+}
+
+// TestLoadSourceRejectsNUL pins that a NUL byte between two classes is
+// a load error naming its line and column, not an early end of file
+// that silently drops the second class.
+func TestLoadSourceRejectsNUL(t *testing.T) {
+	valve := readFileT(t, filepath.Join("testdata", "valve.py"))
+	_, err := LoadSource(valve + "\x00" + readFileT(t, filepath.Join("testdata", "sector.py")))
+	want := fmt.Sprintf("%d:1: source code cannot contain null bytes", strings.Count(valve, "\n")+1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadSource with a NUL byte: error %v, want one containing %q", err, want)
+	}
+}
+
+// TestLoadSourceCRLFContinuation pins that backslash continuations load
+// the same with CRLF line ends as with LF ones.
+func TestLoadSourceCRLFContinuation(t *testing.T) {
+	lf := strings.ReplaceAll(readFileT(t, filepath.Join("testdata", "valve.py")), "return [", "return \\\n            [")
+	crlf := strings.ReplaceAll(lf, "\n", "\r\n")
+	var got [2]string
+	for i, src := range []string{lf, crlf} {
+		m, err := LoadSource(src)
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		reports, err := m.CheckAll()
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		for _, c := range m.Classes() {
+			got[i] += c.Name() + " " + c.model.Fingerprint() + "\n"
+		}
+		b, err := json.Marshal(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] += string(b)
+	}
+	if got[0] != got[1] {
+		t.Fatalf("CRLF load differs from LF load:\nLF:   %s\nCRLF: %s", got[0], got[1])
 	}
 }
 
