@@ -38,6 +38,7 @@ cover:
 # Short fuzzing pass over every parser (seeds always run under `test`).
 fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/pytoken
+	$(GO) test -fuzz=FuzzTokenCoverage -fuzztime=30s ./internal/pytoken
 	$(GO) test -fuzz=FuzzParseModule -fuzztime=30s ./internal/pyparse
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/regex
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/ltlf

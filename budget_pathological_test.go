@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/shelley-go/shelley/internal/budget"
 )
 
 // tightBudget is small enough that every pathological corpus entry
@@ -191,5 +194,43 @@ func TestBudgetedCheckReleasesGoroutines(t *testing.T) {
 				runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestUsageViolationsContextBudgeted: listing usage violations obeys
+// the context's budget like a check does. looptower.py trips it under
+// the limits shelleyc -max-states 500 sets, the product search alone
+// trips a search-node limit, and under a budget that fits, the listing
+// is the unbudgeted one.
+func TestUsageViolationsContextBudgeted(t *testing.T) {
+	tower, err := LoadFile(filepath.Join("testdata", "pathological", "looptower.py"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := WithBudget(context.Background(), Budget{
+		MaxNFAStates: 500, MaxDFAStates: 500, MaxSearchNodes: 500,
+	})
+	ctl, _ := tower.Class("LoopTower")
+	if _, err := ctl.UsageViolationsContext(tight, 3); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("looptower under -max-states 500: %v, want a budget error", err)
+	}
+
+	mod, err := LoadFiles(filepath.Join("testdata", "valve.py"), filepath.Join("testdata", "badsector.py"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, _ := mod.Class("BadSector")
+	want, err := bad.UsageViolations(3)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("unbudgeted listing: %v, %v", want, err)
+	}
+	got, err := bad.UsageViolationsContext(WithBudget(context.Background(), DefaultBudget()), 3)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("listing under the default budget: %v, %v; want %v", got, err, want)
+	}
+	_, err = bad.UsageViolationsContext(WithBudget(context.Background(), Budget{MaxSearchNodes: 2}), 3)
+	var be *budget.Err
+	if !errors.As(err, &be) || be.Op != "usage-violations" {
+		t.Fatalf("listing under MaxSearchNodes 2: %v, want a usage-violations search budget error", err)
 	}
 }

@@ -20,8 +20,17 @@ import (
 // warm pipeline cache) resident. Clients that have POSTed a source
 // once can re-check it cache-only by sending the fingerprint alone.
 func Fingerprint(source string) string {
-	sum := sha256.Sum256([]byte(source))
-	return "sha256:" + hex.EncodeToString(sum[:])
+	// Hash through a small buffer: []byte(source) would copy the whole
+	// body once per request.
+	h := sha256.New()
+	var chunk [512]byte
+	for len(source) > 0 {
+		n := copy(chunk[:], source)
+		h.Write(chunk[:n])
+		source = source[n:]
+	}
+	var sum [sha256.Size]byte
+	return "sha256:" + hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // CheckRequest asks for full verification reports. Exactly one of

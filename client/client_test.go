@@ -2,6 +2,8 @@ package client
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +23,15 @@ func TestFingerprintStableAndDistinct(t *testing.T) {
 	}
 	if !strings.HasPrefix(a, "sha256:") {
 		t.Errorf("fingerprint %q lacks algorithm prefix", a)
+	}
+	// The hash runs through a fixed-size buffer: check it on every
+	// boundary against a one-shot hash of the bytes.
+	for _, n := range []int{0, 1, 511, 512, 513, 1024, 5000} {
+		src := strings.Repeat("x", n)
+		sum := sha256.Sum256([]byte(src))
+		if got, want := Fingerprint(src), "sha256:"+hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("length %d: fingerprint %s, want %s", n, got, want)
+		}
 	}
 }
 

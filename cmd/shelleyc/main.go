@@ -190,7 +190,7 @@ func run(args []string, out io.Writer) (code int, err error) {
 			}
 		}
 		if *violations > 0 {
-			vs, err := c.UsageViolations(*violations, checkOpts...)
+			vs, err := c.UsageViolationsContext(ctx, *violations, checkOpts...)
 			if err != nil {
 				return 2, err
 			}

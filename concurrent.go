@@ -40,7 +40,8 @@ func (m *Module) CheckAllConcurrent(workers int) ([]*Report, error) {
 // The first analysis error (not verification finding) stops the sweep:
 // once any class fails, no further class is handed out, so a module
 // whose first class cannot be analyzed does not pay for checking the
-// remaining hundreds. Cancelling ctx (deadline, client disconnect,
+// remaining hundreds. A class whose subsystems do not resolve stops it
+// as soon as it is handed out, since its check cannot succeed. Cancelling ctx (deadline, client disconnect,
 // server drain) stops it the same way. Classes already in flight finish
 // normally — the per-class pipeline stages are not interruptible — so
 // cancellation latency is one class. An analysis error wins over
@@ -60,11 +61,15 @@ func (m *Module) sweep(ctx context.Context, workers int, opts []Option) ([]*Repo
 	}
 	peek := append([]check.Option{check.WithCache(m.cache)}, opts...)
 	reports := make([]*Report, len(m.classes))
+	// keys holds each cold class's cache keys, built by its peek, for
+	// its check.
+	keys := make([]check.Keys, len(m.classes))
 	var cold []int
 	for i, c := range m.classes {
-		if r, ok := check.PeekReport(ctx, c.model, m.registry, peek...); ok {
+		if r, k, ok := check.PeekReport(ctx, c.model, m.registry, peek...); ok {
 			reports[i] = r
 		} else {
+			keys[i] = k
 			cold = append(cold, i)
 		}
 	}
@@ -98,7 +103,13 @@ func (m *Module) sweep(ctx context.Context, workers int, opts []Option) ([]*Repo
 				return
 			}
 			i := cold[n]
-			reports[i], errs[i] = m.classes[i].CheckContext(ctx, opts...)
+			if keys[i].Unresolvable() {
+				// Its check is bound to fail: stop handing out classes
+				// now rather than once it returns.
+				failed.Store(true)
+			}
+			reports[i], errs[i] = check.CheckContext(ctx, m.classes[i].model, m.registry,
+				append(peek[:len(peek):len(peek)], check.WithKeys(keys[i]))...)
 			if errs[i] != nil {
 				failed.Store(true)
 			}

@@ -355,7 +355,7 @@ func sameDFA(a, b *DFA) bool {
 			return false
 		}
 		for si := range a.alphabet {
-			if a.trans[s][si] != b.trans[s][si] {
+			if a.row(s)[si] != b.row(s)[si] {
 				return false
 			}
 		}

@@ -26,7 +26,11 @@ func Marshal(d *DFA) ([]byte, error) {
 	if d.start != 0 {
 		d = d.Reachable()
 	}
-	return json.Marshal(dfaWire{Alphabet: d.alphabet, Accept: d.accept, Trans: d.trans})
+	rows := make([][]int, d.NumStates())
+	for s := range rows {
+		rows[s] = d.row(s)
+	}
+	return json.Marshal(dfaWire{Alphabet: d.alphabet, Accept: d.accept, Trans: rows})
 }
 
 // Unmarshal decodes a DFA encoded by Marshal, validating shape and

@@ -2,7 +2,7 @@ package automata
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DFA is a deterministic finite automaton. Missing transitions denote an
@@ -10,31 +10,56 @@ import (
 // Complete materializes the sink when an algorithm (e.g. complement)
 // needs totality.
 type DFA struct {
+	// alphabet is sorted and free of duplicates, and never mutated:
+	// every DFA derived from this one shares the slice.
 	alphabet []string
-	symIndex map[string]int
-	trans    [][]int // state -> symbol index -> target, -1 when absent
-	accept   []bool
-	start    int
+	// trans holds the rows of the transition table back to back: state
+	// s's target on symbol index si is trans[s*len(alphabet)+si], -1
+	// when absent (see row).
+	trans  []int
+	accept []bool
+	start  int
 }
 
 // NewDFA returns a DFA with a single non-accepting start state and no
 // transitions, over the given alphabet (deduplicated and sorted).
-func NewDFA(alphabet []string) *DFA {
-	d := &DFA{symIndex: make(map[string]int)}
-	seen := make(map[string]struct{}, len(alphabet))
-	for _, s := range alphabet {
-		if _, dup := seen[s]; dup {
-			continue
-		}
-		seen[s] = struct{}{}
-		d.alphabet = append(d.alphabet, s)
-	}
-	sort.Strings(d.alphabet)
-	for i, s := range d.alphabet {
-		d.symIndex[s] = i
-	}
+func NewDFA(alphabet []string) *DFA { return newDFA(sortedSet(alphabet)) }
+
+// newDFA is NewDFA over an alphabet that is already sorted and free of
+// duplicates, which the DFA shares.
+func newDFA(alphabet []string) *DFA {
+	d := &DFA{alphabet: alphabet}
 	d.start = d.AddState(false)
 	return d
+}
+
+// sortedSet returns a sorted, duplicate-free copy of syms, nil when it
+// is empty.
+func sortedSet(syms []string) []string {
+	if len(syms) == 0 {
+		return nil
+	}
+	out := slices.Clone(syms)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// isSortedSet reports whether syms is sorted and free of duplicates.
+func isSortedSet(syms []string) bool {
+	for i := 1; i < len(syms); i++ {
+		if syms[i-1] >= syms[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// symbol returns the index of sym in the sorted alphabet, or -1.
+func symbol(alphabet []string, sym string) int {
+	if i, ok := slices.BinarySearch(alphabet, sym); ok {
+		return i
+	}
+	return -1
 }
 
 // Alphabet returns the sorted alphabet. The caller must not mutate it.
@@ -44,7 +69,7 @@ func (d *DFA) Alphabet() []string { return d.alphabet }
 func (d *DFA) Start() int { return d.start }
 
 // NumStates returns the number of states.
-func (d *DFA) NumStates() int { return len(d.trans) }
+func (d *DFA) NumStates() int { return len(d.accept) }
 
 // Accepting reports whether state s accepts.
 func (d *DFA) Accepting(s int) bool { return d.accept[s] }
@@ -54,48 +79,64 @@ func (d *DFA) SetAccepting(s int, accepting bool) { d.accept[s] = accepting }
 
 // AddState adds a fresh state with no outgoing transitions.
 func (d *DFA) AddState(accepting bool) int {
-	row := make([]int, len(d.alphabet))
-	for i := range row {
-		row[i] = -1
+	n := len(d.trans)
+	d.trans = slices.Grow(d.trans, len(d.alphabet))[:n+len(d.alphabet)]
+	for i := n; i < len(d.trans); i++ {
+		d.trans[i] = -1
 	}
-	d.trans = append(d.trans, row)
 	d.accept = append(d.accept, accepting)
-	return len(d.trans) - 1
+	return d.NumStates() - 1
+}
+
+// reserve makes room for k more states, so the next k AddState calls
+// do not reallocate.
+func (d *DFA) reserve(k int) {
+	if k <= 0 {
+		return
+	}
+	d.trans = slices.Grow(d.trans, k*len(d.alphabet))
+	d.accept = slices.Grow(d.accept, k)
+}
+
+// row returns state s's transitions, indexed by symbol.
+func (d *DFA) row(s int) []int {
+	k := len(d.alphabet)
+	return d.trans[s*k : s*k+k : s*k+k]
 }
 
 // AddTransition sets from --sym--> to, replacing any previous target.
 func (d *DFA) AddTransition(from int, sym string, to int) error {
-	si, ok := d.symIndex[sym]
-	if !ok {
+	si := symbol(d.alphabet, sym)
+	if si < 0 {
 		return fmt.Errorf("automata: symbol %q not in alphabet %v", sym, d.alphabet)
 	}
-	d.trans[from][si] = to
+	d.row(from)[si] = to
 	return nil
 }
 
 func (d *DFA) setTransition(from, symIndex, to int) {
-	d.trans[from][symIndex] = to
+	d.row(from)[symIndex] = to
 }
 
 // Target returns the target of from on sym, or -1 when the transition is
 // absent (dead).
 func (d *DFA) Target(from int, sym string) int {
-	si, ok := d.symIndex[sym]
-	if !ok {
+	si := symbol(d.alphabet, sym)
+	if si < 0 {
 		return -1
 	}
-	return d.trans[from][si]
+	return d.row(from)[si]
 }
 
 // Accepts reports whether the DFA accepts the trace.
 func (d *DFA) Accepts(trace []string) bool {
 	s := d.start
 	for _, sym := range trace {
-		si, ok := d.symIndex[sym]
-		if !ok {
+		si := symbol(d.alphabet, sym)
+		if si < 0 {
 			return false
 		}
-		s = d.trans[s][si]
+		s = d.row(s)[si]
 		if s < 0 {
 			return false
 		}
@@ -108,11 +149,11 @@ func (d *DFA) Accepts(trace []string) bool {
 func (d *DFA) Run(trace []string) int {
 	s := d.start
 	for _, sym := range trace {
-		si, ok := d.symIndex[sym]
-		if !ok {
+		si := symbol(d.alphabet, sym)
+		if si < 0 {
 			return -1
 		}
-		s = d.trans[s][si]
+		s = d.row(s)[si]
 		if s < 0 {
 			return -1
 		}
@@ -120,20 +161,14 @@ func (d *DFA) Run(trace []string) int {
 	return s
 }
 
-// Clone returns a deep copy of the DFA.
+// Clone returns a copy of the DFA that shares only its immutable
+// alphabet.
 func (d *DFA) Clone() *DFA {
 	out := &DFA{
-		alphabet: append([]string(nil), d.alphabet...),
-		symIndex: make(map[string]int, len(d.symIndex)),
-		trans:    make([][]int, len(d.trans)),
-		accept:   append([]bool(nil), d.accept...),
+		alphabet: d.alphabet,
+		trans:    slices.Clone(d.trans),
+		accept:   slices.Clone(d.accept),
 		start:    d.start,
-	}
-	for k, v := range d.symIndex {
-		out.symIndex[k] = v
-	}
-	for i, row := range d.trans {
-		out.trans[i] = append([]int(nil), row...)
 	}
 	return out
 }
@@ -142,28 +177,14 @@ func (d *DFA) Clone() *DFA {
 // on every symbol, with missing edges routed to a rejecting sink. When
 // the DFA is already total it is returned unchanged.
 func (d *DFA) Complete() *DFA {
-	total := true
-	for _, row := range d.trans {
-		for _, t := range row {
-			if t < 0 {
-				total = false
-				break
-			}
-		}
-		if !total {
-			break
-		}
-	}
-	if total {
+	if !slices.Contains(d.trans, -1) {
 		return d
 	}
 	out := d.Clone()
 	sink := out.AddState(false)
-	for s := range out.trans {
-		for si, t := range out.trans[s] {
-			if t < 0 {
-				out.trans[s][si] = sink
-			}
+	for i, t := range out.trans {
+		if t < 0 {
+			out.trans[i] = sink
 		}
 	}
 	return out
@@ -195,7 +216,7 @@ func (d *DFA) ShortestAccepted() ([]string, bool) {
 		state int
 		trace []string
 	}
-	visited := make([]bool, len(d.trans))
+	visited := make([]bool, d.NumStates())
 	visited[d.start] = true
 	frontier := []node{{state: d.start}}
 	for len(frontier) > 0 {
@@ -205,7 +226,7 @@ func (d *DFA) ShortestAccepted() ([]string, bool) {
 				return n.trace, true
 			}
 			for si, sym := range d.alphabet {
-				t := d.trans[n.state][si]
+				t := d.row(n.state)[si]
 				if t < 0 || visited[t] {
 					continue
 				}
@@ -224,18 +245,19 @@ func (d *DFA) ShortestAccepted() ([]string, bool) {
 // Reachable returns an equivalent DFA with unreachable states removed
 // (states renumbered in BFS order from the start state).
 func (d *DFA) Reachable() *DFA {
-	remap := make([]int, len(d.trans))
+	remap := make([]int, d.NumStates())
 	for i := range remap {
 		remap[i] = -1
 	}
-	out := NewDFA(d.alphabet)
+	out := newDFA(d.alphabet)
+	out.reserve(d.NumStates() - 1)
 	out.SetAccepting(out.Start(), d.accept[d.start])
 	remap[d.start] = out.Start()
 	queue := []int{d.start}
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		for si, t := range d.trans[s] {
+		for si, t := range d.row(s) {
 			if t < 0 {
 				continue
 			}
@@ -244,6 +266,55 @@ func (d *DFA) Reachable() *DFA {
 				queue = append(queue, t)
 			}
 			out.setTransition(remap[s], si, remap[t])
+		}
+	}
+	return out
+}
+
+// Relabel returns the DFA over alphabet (deduplicated and sorted) in
+// which each symbol moves like d's symbol as(sym), and has no
+// transition when as(sym) is not in d's alphabet. States are those
+// reachable from the start, numbered in BFS order. When every symbol of
+// d is the image of some symbol and d is minimal, the result is the
+// minimal DFA of its language, numbered as Minimize numbers it. An
+// alphabet that is already sorted and free of duplicates, such as
+// another DFA's, is shared rather than copied, so it must not change
+// afterwards.
+func (d *DFA) Relabel(alphabet []string, as func(sym string) string) *DFA {
+	var out *DFA
+	if len(alphabet) > 0 && isSortedSet(alphabet) {
+		out = newDFA(alphabet)
+	} else {
+		out = NewDFA(alphabet)
+	}
+	out.reserve(d.NumStates() - 1)
+	class := make([]int, len(out.alphabet))
+	for i, sym := range out.alphabet {
+		class[i] = symbol(d.alphabet, as(sym))
+	}
+	remap := make([]int, d.NumStates())
+	for i := range remap {
+		remap[i] = -1
+	}
+	out.accept[out.start] = d.accept[d.start]
+	remap[d.start] = out.start
+	queue := []int{d.start}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		for i, c := range class {
+			if c < 0 {
+				continue
+			}
+			t := d.row(s)[c]
+			if t < 0 {
+				continue
+			}
+			if remap[t] < 0 {
+				remap[t] = out.AddState(d.accept[t])
+				queue = append(queue, t)
+			}
+			out.row(remap[s])[i] = remap[t]
 		}
 	}
 	return out

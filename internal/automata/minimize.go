@@ -2,7 +2,8 @@ package automata
 
 import (
 	"context"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/shelley-go/shelley/internal/budget"
 )
@@ -22,150 +23,225 @@ func (d *DFA) Minimize() *DFA {
 // refinement passes. Minimization is polynomial in an input whose size
 // the construction budgets already bound, so no state budget applies
 // here; the gate only makes an expired deadline stop the worklist.
+//
+// The refinement runs on the completed automaton without building it:
+// state n stands for the dead sink when some transition is absent. The
+// partition lives in flat arrays (blocks are ranges of elems), so a
+// splitter costs no allocation. The coarsest stable partition is
+// unique, and the quotient is numbered by BFS, so the result does not
+// depend on the order splitters are taken in.
 func (d *DFA) MinimizeCtx(ctx context.Context) (*DFA, error) {
 	gate := budget.NewGate(ctx, "minimize", "", 0)
-	t := d.Complete()
-	n := t.NumStates()
+	n, nsym := d.NumStates(), len(d.alphabet)
 	if n == 0 {
 		return d.Clone(), nil
 	}
-
-	// Inverse transition table: for each symbol, for each state, the
-	// states mapping into it.
-	nsym := len(t.alphabet)
-	inv := make([][][]int, nsym)
-	for si := 0; si < nsym; si++ {
-		inv[si] = make([][]int, n)
+	total := n
+	if slices.Contains(d.trans, -1) {
+		total = n + 1
 	}
-	for s := 0; s < n; s++ {
+	target := func(s, si int) int {
+		if s < n && d.trans[s*nsym+si] >= 0 {
+			return d.trans[s*nsym+si]
+		}
+		return n
+	}
+
+	// Working memory comes from a pool: minimization runs once per
+	// compiled automaton.
+	m := nsym * total
+	sc := minScratches.Get().(*minScratch)
+	defer sc.release()
+	sc.ints = zeroed(sc.ints, 2*m+1+3*total+4*(total+1))
+	sc.bools = zeroed(sc.bools, m+total)
+
+	// Inverse transitions in CSR form: the predecessors of t on symbol
+	// si are preds[off[si*total+t]:off[si*total+t+1]].
+	off, preds, ints := sc.ints[:m+1], sc.ints[m+1:2*m+1], sc.ints[2*m+1:]
+	for s := 0; s < total; s++ {
 		for si := 0; si < nsym; si++ {
-			to := t.trans[s][si]
-			inv[si][to] = append(inv[si][to], s)
+			off[si*total+target(s, si)]++
+		}
+	}
+	for i := 1; i <= m; i++ {
+		off[i] += off[i-1]
+	}
+	for s := total - 1; s >= 0; s-- {
+		for si := nsym - 1; si >= 0; si-- {
+			i := si*total + target(s, si)
+			off[i]--
+			preds[off[i]] = s
 		}
 	}
 
-	// Initial partition: accepting vs non-accepting.
-	partOf := make([]int, n)
-	var accepting, rejecting []int
-	for s := 0; s < n; s++ {
-		if t.accept[s] {
-			accepting = append(accepting, s)
-		} else {
-			rejecting = append(rejecting, s)
+	// Block b is elems[first[b]:end[b]]; loc inverts elems. The initial
+	// partition is rejecting vs accepting states.
+	// Per-block arrays get one spare slot for the empty initial block.
+	elems, loc, blockOf, ints := ints[:total], ints[total:2*total], ints[2*total:3*total], ints[3*total:]
+	first, end, marked, blockState := ints[:total+1], ints[total+1:2*total+2], ints[2*total+2:3*total+3], ints[3*total+3:]
+	accepting := func(s int) bool { return s < n && d.accept[s] }
+	blocks, next := 0, 0
+	for _, acc := range []bool{false, true} {
+		first[blocks] = next
+		for s := 0; s < total; s++ {
+			if accepting(s) == acc {
+				elems[next], loc[s], blockOf[s] = s, next, blocks
+				next++
+			}
 		}
-	}
-	var blocks [][]int
-	addBlock := func(members []int) int {
-		id := len(blocks)
-		blocks = append(blocks, members)
-		for _, s := range members {
-			partOf[s] = id
+		end[blocks] = next
+		if next > first[blocks] {
+			blocks++
 		}
-		return id
-	}
-	if len(rejecting) > 0 {
-		addBlock(rejecting)
-	}
-	if len(accepting) > 0 {
-		addBlock(accepting)
 	}
 
-	// Worklist of (block id, symbol) splitters, seeded with every
-	// initial block (see the note on enqueueing both halves below).
-	type splitter struct{ block, sym int }
-	var work []splitter
-	for b := range blocks {
+	// Hopcroft's worklist of (block, symbol) splitters: when a block in
+	// the worklist splits, both halves stay in it; otherwise the smaller
+	// half joins it.
+	inWork, live := sc.bools[:m], sc.bools[m:]
+	work := sc.work[:0] // block*nsym + symbol
+	for b := 0; b < blocks; b++ {
 		for si := 0; si < nsym; si++ {
-			work = append(work, splitter{block: b, sym: si})
+			inWork[b*nsym+si] = true
+			work = append(work, b*nsym+si)
 		}
 	}
-
+	xs, touched := sc.xs[:0], sc.touched[:0]
 	for len(work) > 0 {
 		if err := gate.Tick(); err != nil {
 			return nil, err
 		}
 		sp := work[len(work)-1]
 		work = work[:len(work)-1]
+		inWork[sp] = false
+		b, si := sp/nsym, sp%nsym
 
-		// X = states with a transition on sym into the splitter block.
-		inX := make(map[int]struct{})
-		for _, target := range blocks[sp.block] {
-			for _, src := range inv[sp.sym][target] {
-				inX[src] = struct{}{}
+		// X = states with a transition on si into block b; each state
+		// has one si-successor, so X has no duplicates.
+		xs = xs[:0]
+		for _, t := range elems[first[b]:end[b]] {
+			xs = append(xs, preds[off[si*total+t]:off[si*total+t+1]]...)
+		}
+		// Move each member of X to the front of its block.
+		touched = touched[:0]
+		for _, s := range xs {
+			c := blockOf[s]
+			if marked[c] == 0 {
+				touched = append(touched, c)
 			}
+			i, j := loc[s], first[c]+marked[c]
+			elems[i], elems[j] = elems[j], elems[i]
+			loc[elems[i]], loc[elems[j]] = i, j
+			marked[c]++
 		}
-		if len(inX) == 0 {
-			continue
-		}
-
-		// Find blocks split by X.
-		touched := make(map[int][]int) // block id -> members in X
-		for s := range inX {
-			b := partOf[s]
-			touched[b] = append(touched[b], s)
-		}
-		blockIDs := make([]int, 0, len(touched))
-		for b := range touched {
-			blockIDs = append(blockIDs, b)
-		}
-		sort.Ints(blockIDs)
-
-		for _, b := range blockIDs {
-			intersection := touched[b]
-			if len(intersection) == len(blocks[b]) {
-				continue // not split
+		// Split every block X cuts: its marked front becomes a new block.
+		for _, c := range touched {
+			k := marked[c]
+			marked[c] = 0
+			if k == end[c]-first[c] {
+				continue
 			}
-			// difference = blocks[b] \ intersection
-			inInter := make(map[int]struct{}, len(intersection))
-			for _, s := range intersection {
-				inInter[s] = struct{}{}
+			nb := blocks
+			blocks++
+			first[nb], end[nb] = first[c], first[c]+k
+			first[c] += k
+			for _, s := range elems[first[nb]:end[nb]] {
+				blockOf[s] = nb
 			}
-			var difference []int
-			for _, s := range blocks[b] {
-				if _, ok := inInter[s]; !ok {
-					difference = append(difference, s)
+			small := nb
+			if end[c]-first[c] < k {
+				small = c
+			}
+			for si := 0; si < nsym; si++ {
+				add := small
+				if inWork[c*nsym+si] {
+					add = nb
+				}
+				if !inWork[add*nsym+si] {
+					inWork[add*nsym+si] = true
+					work = append(work, add*nsym+si)
 				}
 			}
-			sort.Ints(intersection)
-			blocks[b] = intersection
-			newID := addBlock(difference)
-
-			// Hopcroft's refinement enqueues only the smaller half when
-			// the worklist tracks membership (a pending (B, σ) must be
-			// replaced by both halves). We do not track membership, so
-			// enqueue both halves — still correct, and the blocks are
-			// small enough here that the extra passes are cheap.
-			for si := 0; si < nsym; si++ {
-				work = append(work, splitter{block: b, sym: si})
-				work = append(work, splitter{block: newID, sym: si})
-			}
 		}
 	}
 
-	// Build the quotient automaton.
-	out := NewDFA(t.alphabet)
-	blockState := make([]int, len(blocks))
-	for i := range blockState {
-		blockState[i] = -1
+	// A state is live when it reaches an accepting state; the quotient
+	// keeps the start block and the live blocks it reaches, numbered in
+	// BFS order, with edges into dead blocks left absent.
+	xs = xs[:0]
+	for s := 0; s < n; s++ {
+		if d.accept[s] {
+			live[s] = true
+			xs = append(xs, s)
+		}
 	}
-	startBlock := partOf[t.start]
-	blockState[startBlock] = out.Start()
-	out.SetAccepting(out.Start(), t.accept[t.start])
-	queue := []int{startBlock}
+	for len(xs) > 0 {
+		t := xs[len(xs)-1]
+		xs = xs[:len(xs)-1]
+		for si := 0; si < nsym; si++ {
+			for _, p := range preds[off[si*total+t]:off[si*total+t+1]] {
+				if !live[p] {
+					live[p] = true
+					xs = append(xs, p)
+				}
+			}
+		}
+	}
+	out := newDFA(d.alphabet)
+	out.reserve(blocks - 1)
+	for b := 0; b < blocks; b++ {
+		blockState[b] = -1
+	}
+	blockState[blockOf[d.start]] = out.start
+	out.accept[out.start] = d.accept[d.start]
+	queue := append(xs[:0], blockOf[d.start])
 	for len(queue) > 0 {
 		b := queue[0]
 		queue = queue[1:]
-		rep := blocks[b][0]
+		rep := elems[first[b]]
 		for si := 0; si < nsym; si++ {
-			tb := partOf[t.trans[rep][si]]
+			t := target(rep, si)
+			if !live[t] {
+				continue
+			}
+			tb := blockOf[t]
 			if blockState[tb] < 0 {
-				blockState[tb] = out.AddState(t.accept[blocks[tb][0]])
+				blockState[tb] = out.AddState(d.accept[t])
 				queue = append(queue, tb)
 			}
-			out.setTransition(blockState[b], si, blockState[tb])
+			out.trans[blockState[b]*nsym+si] = blockState[tb]
 		}
 	}
-	return trimDead(out), nil
+	sc.work, sc.xs, sc.touched = work, xs, touched
+	return out, nil
+}
+
+// minScratch is MinimizeCtx's working memory, pooled across calls.
+type minScratch struct {
+	ints              []int
+	bools             []bool
+	work, xs, touched []int
+}
+
+var minScratches = sync.Pool{New: func() any { return new(minScratch) }}
+
+// release returns sc to the pool unless it grew past the size of the
+// automata the pipeline serves.
+func (sc *minScratch) release() {
+	if cap(sc.ints) <= 1<<16 {
+		minScratches.Put(sc)
+	}
+}
+
+// zeroed returns s resized to n and cleared, reallocating only when it
+// is too small.
+func zeroed[T int | bool](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // trimDead removes states from which no accepting state is reachable,
@@ -175,7 +251,7 @@ func trimDead(d *DFA) *DFA {
 	// Reverse reachability from accepting states.
 	radj := make([][]int, n)
 	for s := 0; s < n; s++ {
-		for _, t := range d.trans[s] {
+		for _, t := range d.row(s) {
 			if t >= 0 {
 				radj[t] = append(radj[t], s)
 			}
@@ -200,7 +276,8 @@ func trimDead(d *DFA) *DFA {
 		}
 	}
 
-	out := NewDFA(d.alphabet)
+	out := newDFA(d.alphabet)
+	out.reserve(n - 1)
 	remap := make([]int, n)
 	for i := range remap {
 		remap[i] = -1
@@ -211,7 +288,7 @@ func trimDead(d *DFA) *DFA {
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		for si, t := range d.trans[s] {
+		for si, t := range d.row(s) {
 			if t < 0 || !live[t] {
 				continue
 			}

@@ -21,7 +21,7 @@ package automata
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/shelley-go/shelley/internal/budget"
 )
@@ -29,30 +29,20 @@ import (
 // NFA is a nondeterministic finite automaton with ε-transitions and a
 // single start state. The zero value is not meaningful; use NewNFA.
 type NFA struct {
-	alphabet []string        // sorted symbol names
-	symIndex map[string]int  // symbol -> index in alphabet
-	trans    []map[int][]int // state -> symbol index -> sorted targets
-	eps      [][]int         // state -> sorted ε-targets
-	accept   []bool          // state -> accepting
+	alphabet []string    // sorted symbol names
+	trans    [][]nfaEdge // state -> edges sorted by symbol index, then target
+	eps      [][]int     // state -> sorted ε-targets
+	accept   []bool      // state -> accepting
 	start    int
 }
+
+// nfaEdge is one symbol transition, by index into the alphabet.
+type nfaEdge struct{ sym, to int }
 
 // NewNFA returns an empty NFA (one non-accepting start state, no
 // transitions) over the given alphabet. Duplicate symbols are removed.
 func NewNFA(alphabet []string) *NFA {
-	n := &NFA{symIndex: make(map[string]int)}
-	seen := make(map[string]struct{}, len(alphabet))
-	for _, s := range alphabet {
-		if _, dup := seen[s]; dup {
-			continue
-		}
-		seen[s] = struct{}{}
-		n.alphabet = append(n.alphabet, s)
-	}
-	sort.Strings(n.alphabet)
-	for i, s := range n.alphabet {
-		n.symIndex[s] = i
-	}
+	n := &NFA{alphabet: sortedSet(alphabet)}
 	n.start = n.AddState(false)
 	return n
 }
@@ -76,9 +66,20 @@ func (n *NFA) Accepting(s int) bool { return n.accept[s] }
 // SetAccepting marks state s as accepting or not.
 func (n *NFA) SetAccepting(s int, accepting bool) { n.accept[s] = accepting }
 
+// Grow reserves room for k more states, so the next k AddState calls
+// do not reallocate.
+func (n *NFA) Grow(k int) {
+	if k <= 0 {
+		return
+	}
+	n.trans = slices.Grow(n.trans, k)
+	n.eps = slices.Grow(n.eps, k)
+	n.accept = slices.Grow(n.accept, k)
+}
+
 // AddState adds a fresh state and returns its id.
 func (n *NFA) AddState(accepting bool) int {
-	n.trans = append(n.trans, make(map[int][]int))
+	n.trans = append(n.trans, nil)
 	n.eps = append(n.eps, nil)
 	n.accept = append(n.accept, accepting)
 	return len(n.trans) - 1
@@ -88,80 +89,98 @@ func (n *NFA) AddState(accepting bool) int {
 // alphabet; an unknown symbol is reported as an error rather than being
 // added silently.
 func (n *NFA) AddTransition(from int, sym string, to int) error {
-	si, ok := n.symIndex[sym]
-	if !ok {
+	si := symbol(n.alphabet, sym)
+	if si < 0 {
 		return fmt.Errorf("automata: symbol %q not in alphabet %v", sym, n.alphabet)
 	}
-	n.trans[from][si] = insertSorted(n.trans[from][si], to)
+	e := nfaEdge{sym: si, to: to}
+	edges := n.trans[from]
+	i, found := slices.BinarySearchFunc(edges, e, func(a, b nfaEdge) int {
+		if a.sym != b.sym {
+			return a.sym - b.sym
+		}
+		return a.to - b.to
+	})
+	if !found {
+		n.trans[from] = slices.Insert(edges, i, e)
+	}
 	return nil
 }
 
 // AddEpsilon adds an ε-transition from --ε--> to.
 func (n *NFA) AddEpsilon(from, to int) {
-	n.eps[from] = insertSorted(n.eps[from], to)
-}
-
-// Targets returns the states reachable from s on sym (no ε-closure).
-// The caller must not mutate the returned slice.
-func (n *NFA) Targets(s int, sym string) []int {
-	si, ok := n.symIndex[sym]
-	if !ok {
-		return nil
+	if i, found := slices.BinarySearch(n.eps[from], to); !found {
+		n.eps[from] = slices.Insert(n.eps[from], i, to)
 	}
-	return n.trans[s][si]
 }
 
-// EpsilonClosure returns the ε-closure of the given states, sorted.
-func (n *NFA) EpsilonClosure(states []int) []int {
-	seen := make(map[int]struct{}, len(states))
-	stack := append([]int(nil), states...)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := seen[s]; ok {
+// closer computes ε-closures into reused buffers: a state is in the
+// set being built when its mark equals the current generation.
+type closer struct {
+	n     *NFA
+	mark  []int
+	gen   int
+	stack []int
+	set   []int
+}
+
+// closure returns the sorted ε-closure of seeds (which may repeat
+// states). The result is valid until the next call.
+func (c *closer) closure(seeds []int) []int {
+	if c.mark == nil {
+		c.mark = make([]int, len(c.n.trans))
+	}
+	c.gen++
+	c.set = c.set[:0]
+	c.stack = append(c.stack[:0], seeds...)
+	for len(c.stack) > 0 {
+		s := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
+		if c.mark[s] == c.gen {
 			continue
 		}
-		seen[s] = struct{}{}
-		stack = append(stack, n.eps[s]...)
+		c.mark[s] = c.gen
+		c.set = append(c.set, s)
+		c.stack = append(c.stack, c.n.eps[s]...)
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(c.set)
+	return c.set
 }
 
-// Accepts reports whether the NFA accepts the trace, by on-the-fly
-// subset simulation.
-func (n *NFA) Accepts(trace []string) bool {
-	current := n.EpsilonClosure([]int{n.start})
-	for _, sym := range trace {
-		si, ok := n.symIndex[sym]
-		if !ok {
-			return false
-		}
-		next := make(map[int]struct{})
-		for _, s := range current {
-			for _, t := range n.trans[s][si] {
-				next[t] = struct{}{}
-			}
-		}
-		if len(next) == 0 {
-			return false
-		}
-		flat := make([]int, 0, len(next))
-		for s := range next {
-			flat = append(flat, s)
-		}
-		current = n.EpsilonClosure(flat)
-	}
-	for _, s := range current {
+func (n *NFA) anyAccepting(set []int) bool {
+	for _, s := range set {
 		if n.accept[s] {
 			return true
 		}
 	}
 	return false
+}
+
+// Accepts reports whether the NFA accepts the trace, by on-the-fly
+// subset simulation.
+func (n *NFA) Accepts(trace []string) bool {
+	c := &closer{n: n}
+	current := c.closure([]int{n.start})
+	var next []int
+	for _, sym := range trace {
+		si := symbol(n.alphabet, sym)
+		if si < 0 {
+			return false
+		}
+		next = next[:0]
+		for _, s := range current {
+			for _, e := range n.trans[s] {
+				if e.sym == si {
+					next = append(next, e.to)
+				}
+			}
+		}
+		if len(next) == 0 {
+			return false
+		}
+		current = c.closure(next)
+	}
+	return n.anyAccepting(current)
 }
 
 // Determinize performs the subset construction, producing a DFA that
@@ -179,80 +198,57 @@ func (n *NFA) Determinize() *DFA {
 // automaton passes MaxDFAStates, and with a budget.CancelErr when ctx
 // is canceled (deadline, client disconnect), so a request that times
 // out actually releases its worker instead of finishing the blowup.
+// Subset states are numbered in BFS order, symbols in alphabet order.
 func (n *NFA) DeterminizeCtx(ctx context.Context) (*DFA, error) {
 	gate := budget.DFAGate(ctx, "determinize")
-	d := NewDFA(n.alphabet)
-
-	startSet := n.EpsilonClosure([]int{n.start})
+	d := newDFA(n.alphabet)
+	c := &closer{n: n}
 	ids := map[string]int{}
-	key := func(set []int) string {
-		k := make([]byte, 0, len(set)*3)
+	var key []byte
+	keyOf := func(set []int) []byte {
+		key = key[:0]
 		for _, s := range set {
-			k = append(k, byte(s>>16), byte(s>>8), byte(s))
+			key = append(key, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
 		}
-		return string(k)
-	}
-	isAccepting := func(set []int) bool {
-		for _, s := range set {
-			if n.accept[s] {
-				return true
-			}
-		}
-		return false
+		return key
 	}
 
-	type work struct {
-		id  int
-		set []int
-	}
-	d.SetAccepting(d.Start(), isAccepting(startSet))
-	ids[key(startSet)] = d.Start()
-	queue := []work{{id: d.Start(), set: startSet}}
+	startSet := slices.Clone(c.closure([]int{n.start}))
+	d.SetAccepting(d.Start(), n.anyAccepting(startSet))
+	ids[string(keyOf(startSet))] = d.Start()
+	sets := [][]int{startSet} // DFA state -> its subset
 	if err := gate.Tick(); err != nil {
 		return nil, err
 	}
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for si := range n.alphabet {
-			var union []int
-			seen := make(map[int]struct{})
-			for _, s := range cur.set {
-				for _, t := range n.trans[s][si] {
-					if _, ok := seen[t]; !ok {
-						seen[t] = struct{}{}
-						union = append(union, t)
-					}
-				}
+	// targets[si] collects the symbol-si successors of the current
+	// subset, duplicates included (the closure drops them).
+	targets := make([][]int, len(n.alphabet))
+	for cur := 0; cur < len(sets); cur++ {
+		for si := range targets {
+			targets[si] = targets[si][:0]
+		}
+		for _, s := range sets[cur] {
+			for _, e := range n.trans[s] {
+				targets[e.sym] = append(targets[e.sym], e.to)
 			}
+		}
+		for si, union := range targets {
 			if len(union) == 0 {
 				continue
 			}
-			closed := n.EpsilonClosure(union)
-			k := key(closed)
-			id, ok := ids[k]
+			closed := c.closure(union)
+			id, ok := ids[string(keyOf(closed))]
 			if !ok {
 				if err := gate.Tick(); err != nil {
 					return nil, err
 				}
-				id = d.AddState(isAccepting(closed))
-				ids[k] = id
-				queue = append(queue, work{id: id, set: closed})
+				id = d.AddState(n.anyAccepting(closed))
+				ids[string(key)] = id
+				sets = append(sets, slices.Clone(closed))
 			}
-			d.setTransition(cur.id, si, id)
+			d.setTransition(cur, si, id)
 		}
 	}
 	return d, nil
-}
-
-func insertSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
 }

@@ -49,7 +49,7 @@ func ProductCtx(ctx context.Context, a, b *DFA, op BoolOp) (*DFA, error) {
 		queue = queue[1:]
 		from := ids[cur]
 		for si := range alphabet {
-			np := pair{ta.trans[cur.a][si], tb.trans[cur.b][si]}
+			np := pair{ta.row(cur.a)[si], tb.row(cur.b)[si]}
 			id, ok := ids[np]
 			if !ok {
 				if err := gate.Tick(); err != nil {
@@ -136,7 +136,7 @@ func (d *DFA) extendAlphabet(alphabet []string) *DFA {
 	}
 	for s := 0; s < d.NumStates(); s++ {
 		out.SetAccepting(s, d.accept[s])
-		for si, t := range d.trans[s] {
+		for si, t := range d.row(s) {
 			if t < 0 {
 				continue
 			}
@@ -188,7 +188,7 @@ func (d *DFA) EnumerateAccepted(maxLen int) [][]string {
 		var next []node
 		for _, n := range frontier {
 			for si, sym := range d.alphabet {
-				t := d.trans[n.state][si]
+				t := d.row(n.state)[si]
 				if t < 0 {
 					continue
 				}

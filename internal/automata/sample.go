@@ -26,7 +26,7 @@ func (d *DFA) RandomAccepted(rng *rand.Rand, maxLen int) ([]string, bool) {
 				viable[k][s] = true
 				continue
 			}
-			for _, t := range d.trans[s] {
+			for _, t := range d.row(s) {
 				if t >= 0 && viable[k-1][t] {
 					viable[k][s] = true
 					break
@@ -48,7 +48,7 @@ func (d *DFA) RandomAccepted(rng *rand.Rand, maxLen int) ([]string, bool) {
 		var continuations []choice
 		if budget > 0 {
 			for si, sym := range d.alphabet {
-				t := d.trans[s][si]
+				t := d.row(s)[si]
 				if t >= 0 && viable[budget-1][t] {
 					continuations = append(continuations, choice{sym: sym, to: t})
 				}

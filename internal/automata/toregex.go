@@ -46,7 +46,7 @@ func (d *DFA) ToRegexCtx(ctx context.Context) (regex.Regex, error) {
 		}
 	}
 	for s := 0; s < n; s++ {
-		for si, t := range d.trans[s] {
+		for si, t := range d.row(s) {
 			if t < 0 {
 				continue
 			}

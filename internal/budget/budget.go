@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/shelley-go/shelley/internal/obs"
 )
@@ -77,10 +78,19 @@ func (l Limits) Unlimited() bool { return l == Limits{} }
 // Key), so entries don't fragment on limits that cannot affect them —
 // e.g. two requests differing only in MaxSearchNodes share DFAs.
 func (l Limits) Key() string {
+	var buf [64]byte
+	return string(l.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key() to b.
+func (l Limits) AppendKey(b []byte) []byte {
 	if l.Unlimited() {
-		return ""
+		return b
 	}
-	return fmt.Sprintf("b%d,%d,%d,%d", l.MaxNFAStates, l.MaxDFAStates, l.MaxRegexSize, l.MaxSearchNodes)
+	b = strconv.AppendInt(append(b, 'b'), int64(l.MaxNFAStates), 10)
+	b = strconv.AppendInt(append(b, ','), int64(l.MaxDFAStates), 10)
+	b = strconv.AppendInt(append(b, ','), int64(l.MaxRegexSize), 10)
+	return strconv.AppendInt(append(b, ','), int64(l.MaxSearchNodes), 10)
 }
 
 type ctxKey struct{}

@@ -23,42 +23,84 @@ func WithCache(cache *pipeline.Cache) Option {
 	return func(c *config) { c.cache = cache }
 }
 
-// classKey builds the content-addressed key covering everything the
-// analysis of c reads: the class's own fingerprint, the analysis mode,
-// the given resource budget (a budget-exceeded report is cached
-// deterministically for its budget; a retry with a larger budget is a
-// different key and can succeed), and the protocol fingerprint of every
-// resolved subsystem class (checkUsage and checkClaims depend on the
-// subsystems' protocols, but nothing deeper — not their bodies, and a
-// subsystem's own subsystems never enter the analysis of c; keying by
-// the protocol projection means a body-only subsystem edit leaves every
-// dependent's cached report valid). Callers pass the projection of the
-// context's limits onto the resources their stage consumes: the report
-// stage passes them whole (its searches gate every limit), the flatten
-// stage passes flattenLimits so automata don't fragment on search
-// bounds that cannot affect them. ok is false when a subsystem cannot
-// be resolved; the analysis then errors on the uncached path.
-func classKey(cfg config, c *model.Class, reg Registry, limits budget.Limits) (string, bool) {
-	var b strings.Builder
-	b.WriteString(c.Fingerprint())
-	if cfg.precise {
-		b.WriteString("|precise")
-	}
-	if bk := limits.Key(); bk != "" {
-		b.WriteString("|")
-		b.WriteString(bk)
-	}
+// Keys are the content-addressed cache keys of one class under one
+// configuration: the whole-report key and the flatten key. Each covers
+// everything the analysis of the class reads: the class's own
+// fingerprint, the analysis mode, the resource budget (a
+// budget-exceeded report is cached deterministically for its budget; a
+// retry with a larger budget is a different key and can succeed), and
+// the protocol fingerprint of every resolved subsystem class (checkUsage
+// and checkClaims depend on the subsystems' protocols, but nothing
+// deeper — not their bodies, and a subsystem's own subsystems never
+// enter the analysis of the class; keying by the protocol projection
+// means a body-only subsystem edit leaves every dependent's cached
+// report valid). The report key covers the context's limits whole (its
+// searches gate every limit); the flatten key their flattenLimits
+// projection, so automata don't fragment on search bounds that cannot
+// affect them. A check computes them once and passes them down in its
+// config; PeekReport hands them to the CheckContext call that follows a
+// miss (WithKeys).
+type Keys struct {
+	report, flatten string
+	built           bool // false in the zero Keys: not computed yet
+	ok              bool // false when a subsystem cannot be resolved; the analysis then errors uncached
+}
+
+// Unresolvable reports whether building the keys met a subsystem that
+// does not resolve; checking the class then fails with that error.
+func (k Keys) Unresolvable() bool { return k.built && !k.ok }
+
+// WithKeys makes a check use keys that PeekReport computed for the same
+// class under the same options and context budget.
+func WithKeys(k Keys) Option {
+	return func(c *config) { c.keys = k }
+}
+
+// newKeys builds c's cache keys under cfg.
+func newKeys(cfg config, c *model.Class, reg Registry) Keys {
+	var subs strings.Builder
 	for _, name := range c.SubsystemNames {
 		sub, err := reg.resolve(c, name)
 		if err != nil {
-			return "", false
+			return Keys{built: true}
 		}
-		b.WriteString("|")
-		b.WriteString(name)
-		b.WriteString("=")
-		b.WriteString(sub.ProtocolFingerprint())
+		subs.WriteString("|")
+		subs.WriteString(name)
+		subs.WriteString("=")
+		subs.WriteString(sub.ProtocolFingerprint())
 	}
-	return b.String(), true
+	key := func(limits budget.Limits) string {
+		var lb [64]byte
+		bk := limits.AppendKey(lb[:0])
+		var b strings.Builder
+		b.Grow(len(c.Fingerprint()) + len("|precise|") + len(bk) + subs.Len())
+		b.WriteString(c.Fingerprint())
+		if cfg.precise {
+			b.WriteString("|precise")
+		}
+		if len(bk) > 0 {
+			b.WriteString("|")
+			b.Write(bk)
+		}
+		b.WriteString(subs.String())
+		return b.String()
+	}
+	limits := budget.From(cfg.ctx)
+	k := Keys{report: key(limits), built: true, ok: true}
+	k.flatten = k.report
+	if fl := flattenLimits(limits); fl != limits {
+		k.flatten = key(fl)
+	}
+	return k
+}
+
+// keysFor returns the keys cfg carries for c, building them when it
+// carries none.
+func (cfg *config) keysFor(c *model.Class, reg Registry) Keys {
+	if !cfg.keys.built {
+		cfg.keys = newKeys(*cfg, c, reg)
+	}
+	return cfg.keys
 }
 
 // flattenLimits projects l onto the limits flattening can consume: the
@@ -76,30 +118,31 @@ func flattenLimits(l budget.Limits) budget.Limits {
 // PeekReport returns a clone of c's memoized whole-class report when
 // the report stage is already warm: ok is false when the class is
 // uncached, unkeyable, still being built, or cached as an error — the
-// caller then takes the normal CheckContext path. Unlike the peek in
-// CheckContext, a hit is quiet — it does not annotate any span — so
+// caller then takes the normal CheckContext path, passing it keys
+// (WithKeys; zero without a cache). Unlike the peek in CheckContext, a
+// hit is quiet — it does not annotate any span — so
 // Module.CheckAllContext can peek every class and report one
 // aggregated cache.hit.report count instead of one per class
 // (EXPERIMENTS.md P3).
-func PeekReport(ctx context.Context, c *model.Class, reg Registry, opts ...Option) (*Report, bool) {
+func PeekReport(ctx context.Context, c *model.Class, reg Registry, opts ...Option) (_ *Report, keys Keys, ok bool) {
 	cfg := buildConfig(opts)
 	cfg.ctx = ctx // the budget carried by ctx is part of the report key
 	if cfg.cache == nil {
-		return nil, false
+		return nil, keys, false
 	}
-	key, ok := classKey(cfg, c, reg, budget.From(cfg.ctx))
-	if !ok {
-		return nil, false
+	keys = cfg.keysFor(c, reg)
+	if !keys.ok {
+		return nil, keys, false
 	}
-	v, cerr, hit := cfg.cache.PeekQuiet(pipeline.StageReport, key)
+	v, cerr, hit := cfg.cache.PeekQuiet(pipeline.StageReport, keys.report)
 	if !hit || cerr != nil {
-		return nil, false
+		return nil, keys, false
 	}
 	r, ok := v.(*Report)
 	if !ok || r == nil {
-		return nil, false
+		return nil, keys, false
 	}
-	return r.Clone(), true
+	return r.Clone(), keys, true
 }
 
 // specDFA returns the class's protocol automaton, memoized under
@@ -135,17 +178,22 @@ type flatPair struct {
 }
 
 // flattened builds — or retrieves — the flattened behavior of the
-// composite plus its DFA, memoized under StageFlatten. Both halves are
-// immutable after construction and shared read-only across workers; the
-// singleflight in the cache guarantees two workers never run the
-// flatten substitution or the subset construction for the same class
-// concurrently.
-func flattened(cfg config, c *model.Class, reg Registry, alphabet []string) (*flatAutomaton, *automata.DFA, error) {
+// composite over its subsystem alphabet (subsystemAlphabet, which is
+// also the DFA's alphabet) plus its DFA, memoized under StageFlatten.
+// Both halves are immutable after construction and shared read-only
+// across workers; the singleflight in the cache guarantees two workers
+// never run the flatten substitution or the subset construction for the
+// same class concurrently.
+func flattened(cfg config, c *model.Class, reg Registry) (*flatAutomaton, *automata.DFA, error) {
 	build := func(ctx context.Context) (flatPair, error) {
 		// The span-carrying ctx from the memo layer replaces cfg.ctx so
 		// nested stage builds parent under the flatten span.
 		cfg := cfg
 		cfg.ctx = ctx
+		alphabet, err := subsystemAlphabet(c, reg)
+		if err != nil {
+			return flatPair{}, err
+		}
 		flat, err := flattenWith(cfg, c, alphabet)
 		if err != nil {
 			return flatPair{}, err
@@ -157,8 +205,8 @@ func flattened(cfg config, c *model.Class, reg Registry, alphabet []string) (*fl
 		return flatPair{flat: flat, dfa: dfa}, nil
 	}
 	if cfg.cache != nil {
-		if key, ok := classKey(cfg, c, reg, flattenLimits(budget.From(cfg.ctx))); ok {
-			pair, err := pipeline.MemoCtx(cfg.ctx, cfg.cache, pipeline.StageFlatten, key, build)
+		if keys := cfg.keysFor(c, reg); keys.ok {
+			pair, err := pipeline.MemoCtx(cfg.ctx, cfg.cache, pipeline.StageFlatten, keys.flatten, build)
 			return pair.flat, pair.dfa, err
 		}
 	}

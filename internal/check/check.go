@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/shelley-go/shelley/internal/budget"
 	"github.com/shelley-go/shelley/internal/model"
 	"github.com/shelley-go/shelley/internal/obs"
 	"github.com/shelley-go/shelley/internal/pipeline"
@@ -191,19 +190,19 @@ func Check(c *model.Class, reg Registry, opts ...Option) (*Report, error) {
 // carries no tracer the behavior and output are identical to Check.
 func CheckContext(ctx context.Context, c *model.Class, reg Registry, opts ...Option) (_ *Report, err error) {
 	cfg := buildConfig(opts)
-	// ctx must be installed before classKey runs: the key covers the
+	// ctx must be installed before the keys are built: they cover the
 	// context's resource budget (budget.From), so a report computed
 	// under one budget is never served to a request with another.
 	cfg.ctx = ctx
 	// Whole-report memoization: the report is a pure function of the
 	// class content, the analysis mode, the resource budget, and the
-	// subsystems' content, all of which classKey captures. A warm Check
+	// subsystems' content, all of which Keys captures. A warm Check
 	// is a cache lookup plus a deep copy, probed before any span is
 	// opened.
 	key, memoized := "", false
 	if cfg.cache != nil {
-		if k, ok := classKey(cfg, c, reg, budget.From(cfg.ctx)); ok {
-			key, memoized = k, true
+		if keys := cfg.keysFor(c, reg); keys.ok {
+			key, memoized = keys.report, true
 			if v, cerr, hit := cfg.cache.Peek(ctx, pipeline.StageReport, key); hit {
 				if cerr != nil {
 					return nil, cerr
@@ -269,9 +268,9 @@ func check(cfg config, c *model.Class, reg Registry) (*Report, error) {
 		subs[name] = sub
 	}
 
-	defined := checkDefinedness(c, subs, report)
+	defined := checkDefinedness(cfg, c, subs, report)
 	checkExhaustiveness(c, subs, report)
-	checkHelpers(c, subs, report)
+	checkHelpers(cfg, c, subs, report)
 
 	// Usage and claim analysis need every called operation to exist.
 	if !defined {
@@ -288,10 +287,10 @@ func check(cfg config, c *model.Class, reg Registry) (*Report, error) {
 
 // checkDefinedness verifies that every tracked call targets a defined
 // operation; it returns true when all calls are defined.
-func checkDefinedness(c *model.Class, subs map[string]*model.Class, report *Report) bool {
+func checkDefinedness(cfg config, c *model.Class, subs map[string]*model.Class, report *Report) bool {
 	ok := true
 	for _, op := range c.Operations {
-		for _, label := range labelsOf(op) {
+		for _, label := range cfg.labelsOf(op) {
 			subName, method, found := splitLabel(label)
 			if !found {
 				continue
@@ -380,9 +379,9 @@ func checkExhaustiveness(c *model.Class, subs map[string]*model.Class, report *R
 
 // checkHelpers warns about unannotated methods that call subsystems:
 // those calls are outside the verified protocol entirely.
-func checkHelpers(c *model.Class, subs map[string]*model.Class, report *Report) {
+func checkHelpers(cfg config, c *model.Class, subs map[string]*model.Class, report *Report) {
 	for _, helper := range c.Helpers {
-		for _, label := range labelsOf(helper) {
+		for _, label := range cfg.labelsOf(helper) {
 			subName, _, found := splitLabel(label)
 			if !found {
 				continue
@@ -401,9 +400,10 @@ func checkHelpers(c *model.Class, subs map[string]*model.Class, report *Report) 
 	}
 }
 
-// labelsOf returns the distinct call labels in the operation's body.
-func labelsOf(op *model.Operation) []string {
-	return regex.Alphabet(regex.Simplify(op.Behavior()))
+// labelsOf returns the distinct call labels in the operation's
+// simplified behavior, which flattening memoizes too.
+func (cfg config) labelsOf(op *model.Operation) []string {
+	return regex.Alphabet(cfg.cache.InferSimplified(cfg.ctx, op.Method.Program))
 }
 
 func splitLabel(label string) (subsystem, method string, ok bool) {

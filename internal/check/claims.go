@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/shelley-go/shelley/internal/automata"
 	"github.com/shelley-go/shelley/internal/budget"
@@ -28,30 +29,16 @@ func checkClaims(cfg config, c *model.Class, reg Registry, report *Report) error
 	// class's own operations and are checked against its protocol
 	// automaton directly.
 	var flatDFA *automataDFA
-	var alphabet []string
+	var err error
 	if len(c.SubsystemNames) > 0 {
-		var err error
-		alphabet, err = subsystemAlphabet(c, reg)
-		if err != nil {
-			return err
-		}
-		_, flatDFA, err = flattened(cfg, c, reg, alphabet)
-		if err != nil {
-			return err
-		}
+		_, flatDFA, err = flattened(cfg, c, reg)
 	} else {
-		spec, err := cfg.specDFA(c, "")
-		if err != nil {
-			return err
-		}
-		flatDFA = spec
-		alphabet = spec.Alphabet()
+		flatDFA, err = cfg.specDFA(c, "")
 	}
-
-	known := make(map[string]struct{}, len(alphabet))
-	for _, sym := range alphabet {
-		known[sym] = struct{}{}
+	if err != nil {
+		return err
 	}
+	alphabet := flatDFA.Alphabet()
 
 	for _, claim := range c.Claims {
 		formula, err := ltlf.Parse(claim.Formula)
@@ -59,7 +46,7 @@ func checkClaims(cfg config, c *model.Class, reg Registry, report *Report) error
 			return fmt.Errorf("check: class %s, claim at %s: %w", c.Name, claim.Pos, err)
 		}
 		for _, atom := range ltlf.Atoms(formula) {
-			if _, ok := known[atom]; !ok {
+			if _, ok := slices.BinarySearch(alphabet, atom); !ok {
 				report.Diagnostics = append(report.Diagnostics, Diagnostic{
 					Kind: KindUnknownClaimAtom,
 					Message: fmt.Sprintf(

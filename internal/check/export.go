@@ -2,7 +2,6 @@ package check
 
 import (
 	"github.com/shelley-go/shelley/internal/automata"
-	"github.com/shelley-go/shelley/internal/budget"
 	"github.com/shelley-go/shelley/internal/model"
 	"github.com/shelley-go/shelley/internal/pipeline"
 )
@@ -28,15 +27,11 @@ func FlattenedDFA(c *model.Class, reg Registry, opts ...Option) (*automata.DFA, 
 		}
 		return spec, nil
 	}
-	alphabet, err := subsystemAlphabet(c, reg)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.cache != nil {
-		if key, ok := classKey(cfg, c, reg, flattenLimits(budget.From(cfg.ctx))); ok {
-			min, err := pipeline.Memo(cfg.cache, pipeline.StageFlatten, key+"|min",
+		if keys := cfg.keysFor(c, reg); keys.ok {
+			min, err := pipeline.Memo(cfg.cache, pipeline.StageFlatten, keys.flatten+"|min",
 				func() (*automata.DFA, error) {
-					_, dfa, err := flattened(cfg, c, reg, alphabet)
+					_, dfa, err := flattened(cfg, c, reg)
 					if err != nil {
 						return nil, err
 					}
@@ -48,11 +43,7 @@ func FlattenedDFA(c *model.Class, reg Registry, opts ...Option) (*automata.DFA, 
 			return min.Clone(), nil
 		}
 	}
-	flat, err := flattenWith(cfg, c, alphabet)
-	if err != nil {
-		return nil, err
-	}
-	dfa, err := flat.toDFA(cfg.ctx)
+	_, dfa, err := flattened(cfg, c, reg)
 	if err != nil {
 		return nil, err
 	}

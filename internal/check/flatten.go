@@ -53,6 +53,47 @@ func flatten(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, err
 		return len(f.edges) - 1
 	}
 
+	// Behavior DFA per operation, built (or cache-retrieved) once, with
+	// the number of flat edges one copy of it has.
+	type opBehavior struct {
+		dfa   *automata.DFA
+		edges int
+	}
+	behavior := make(map[string]opBehavior, len(c.Operations))
+	for _, op := range c.Operations {
+		b, err := cfg.behaviorDFA(op.Method.Program)
+		if err != nil {
+			return nil, err
+		}
+		edges := 0
+		for s := 0; s < b.NumStates(); s++ {
+			for _, sym := range b.Alphabet() {
+				if b.Target(s, sym) >= 0 {
+					edges++
+				}
+			}
+			if b.Accepting(s) {
+				edges++
+			}
+		}
+		behavior[op.Name] = opBehavior{b, edges}
+	}
+
+	// Size the node arrays for one node per protocol state plus one per
+	// state of every behavior copy, up to a bound: the gate, not this
+	// estimate, decides how large a flat automaton may grow.
+	nodes := protocol.NumStates()
+	for p := 0; p < protocol.NumStates(); p++ {
+		for _, op := range c.Operations {
+			if protocol.Target(p, op.Name) >= 0 {
+				nodes += behavior[op.Name].dfa.NumStates()
+			}
+		}
+	}
+	nodes = min(nodes, 1<<12)
+	f.edges = make([][]flatEdge, 0, nodes)
+	f.accept = make([]bool, 0, nodes)
+
 	// One node per protocol state.
 	protoNode := make([]int, protocol.NumStates())
 	for p := 0; p < protocol.NumStates(); p++ {
@@ -60,18 +101,9 @@ func flatten(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, err
 	}
 	f.start = protoNode[protocol.Start()]
 
-	// Behavior DFA per operation, built (or cache-retrieved) once.
-	behavior := make(map[string]*automata.DFA, len(c.Operations))
-	for _, op := range c.Operations {
-		b, err := cfg.behaviorDFA(op.Method.Program)
-		if err != nil {
-			return nil, err
-		}
-		behavior[op.Name] = b
-	}
-
 	// Substitute each protocol transition p --m--> q with a copy of
-	// behavior(m) bracketed by ε-edges.
+	// behavior(m) bracketed by ε-edges. A copy's nodes are consecutive,
+	// from base, and share one edge array.
 	for p := 0; p < protocol.NumStates(); p++ {
 		if gateErr != nil {
 			return nil, gateErr
@@ -81,34 +113,30 @@ func flatten(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, err
 			if q < 0 {
 				continue
 			}
-			b := behavior[op.Name]
+			b := behavior[op.Name].dfa
 			if b.NumStates() == 0 {
 				continue
 			}
-			copyNode := make([]int, b.NumStates())
+			base := len(f.edges)
 			for s := 0; s < b.NumStates(); s++ {
-				copyNode[s] = addState(false)
+				addState(false)
 			}
 			f.edges[protoNode[p]] = append(f.edges[protoNode[p]], flatEdge{
-				to: copyNode[b.Start()],
+				to: base + b.Start(),
 				op: op.Name,
 			})
+			edges := make([]flatEdge, 0, behavior[op.Name].edges)
 			for s := 0; s < b.NumStates(); s++ {
+				from := len(edges)
 				for _, sym := range b.Alphabet() {
-					t := b.Target(s, sym)
-					if t < 0 {
-						continue
+					if t := b.Target(s, sym); t >= 0 {
+						edges = append(edges, flatEdge{to: base + t, sym: sym})
 					}
-					f.edges[copyNode[s]] = append(f.edges[copyNode[s]], flatEdge{
-						to:  copyNode[t],
-						sym: sym,
-					})
 				}
 				if b.Accepting(s) {
-					f.edges[copyNode[s]] = append(f.edges[copyNode[s]], flatEdge{
-						to: protoNode[q],
-					})
+					edges = append(edges, flatEdge{to: protoNode[q]})
 				}
+				f.edges[base+s] = edges[from:len(edges):len(edges)]
 			}
 		}
 	}
@@ -121,23 +149,23 @@ func flatten(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, err
 // toDFA erases the operation boundaries and determinizes under ctx's
 // resource budget (the subset construction is the exponential step).
 func (f *flatAutomaton) toDFA(ctx context.Context) (*automata.DFA, error) {
+	// NFA state i is node i: state 0 already exists (the NFA's start);
+	// add the rest.
 	n := automata.NewNFA(f.alphabet)
-	// NFA state 0 already exists (its start); add the rest.
-	nodes := make([]int, len(f.edges))
-	nodes[0] = n.Start()
+	n.Grow(len(f.edges) - 1)
 	for i := 1; i < len(f.edges); i++ {
-		nodes[i] = n.AddState(false)
+		n.AddState(false)
 	}
 	for i, accepting := range f.accept {
-		n.SetAccepting(nodes[i], accepting)
+		n.SetAccepting(i, accepting)
 	}
 	for from, edges := range f.edges {
 		for _, e := range edges {
 			if e.sym == "" {
-				n.AddEpsilon(nodes[from], nodes[e.to])
+				n.AddEpsilon(from, e.to)
 				continue
 			}
-			if err := n.AddTransition(nodes[from], e.sym, nodes[e.to]); err != nil {
+			if err := n.AddTransition(from, e.sym, e.to); err != nil {
 				// The alphabet is the union of all subsystem operations;
 				// flatten's callers validate call definedness first, so
 				// this cannot happen. Panicking here would crash tools on
@@ -147,10 +175,9 @@ func (f *flatAutomaton) toDFA(ctx context.Context) (*automata.DFA, error) {
 			}
 		}
 	}
-	// Remap the start if needed (node 0 of f corresponds to a protocol
-	// state, which is f.start only when the protocol start is state 0 —
-	// ensure correctness for any numbering).
-	n.SetStart(nodes[f.start])
+	// Node 0 is the first protocol state, which is f.start only when
+	// the protocol starts in state 0.
+	n.SetStart(f.start)
 	return n.DeterminizeCtx(ctx)
 }
 

@@ -25,6 +25,10 @@ type config struct {
 	// as children of the verification that triggered them. Never nil
 	// after buildConfig.
 	ctx context.Context
+
+	// keys memoizes the cache keys of the class being checked, so one
+	// check builds them once (keysFor).
+	keys Keys
 }
 
 // Precise switches the composite analysis to *exit-aware* flattening:

@@ -19,11 +19,7 @@ import (
 //	Subsystems errors:
 //	  * Valve 'a': test, >open< (not final)
 func checkUsage(cfg config, c *model.Class, reg Registry, subs map[string]*model.Class, report *Report) error {
-	alphabet, err := subsystemAlphabet(c, reg)
-	if err != nil {
-		return err
-	}
-	flat, flatDFA, err := flattened(cfg, c, reg, alphabet)
+	flat, flatDFA, err := flattened(cfg, c, reg)
 	if err != nil {
 		return err
 	}

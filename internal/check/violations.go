@@ -1,7 +1,10 @@
 package check
 
 import (
+	"context"
+
 	"github.com/shelley-go/shelley/internal/automata"
+	"github.com/shelley-go/shelley/internal/budget"
 	"github.com/shelley-go/shelley/internal/model"
 )
 
@@ -20,17 +23,22 @@ type Violation struct {
 // automaton, alphabet-ordered, so the output is deterministic). It is
 // the tooling counterpart of Check's single-counterexample diagnostic:
 // IDE integrations and reports can show several distinct failures at
-// once.
+// once. It runs without a budget; see UsageViolationsContext.
 func UsageViolations(c *model.Class, reg Registry, max int, opts ...Option) ([]Violation, error) {
+	return UsageViolationsContext(context.Background(), c, reg, max, opts...)
+}
+
+// UsageViolationsContext is UsageViolations under ctx's resource budget
+// and cancellation, like CheckContext: flattening and determinization
+// are bounded as in a check, and each product search by
+// MaxSearchNodes.
+func UsageViolationsContext(ctx context.Context, c *model.Class, reg Registry, max int, opts ...Option) ([]Violation, error) {
 	if len(c.SubsystemNames) == 0 || max <= 0 {
 		return nil, nil
 	}
 	cfg := buildConfig(opts)
-	alphabet, err := subsystemAlphabet(c, reg)
-	if err != nil {
-		return nil, err
-	}
-	_, flatDFA, err := flattened(cfg, c, reg, alphabet)
+	cfg.ctx = ctx
+	_, flatDFA, err := flattened(cfg, c, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +57,11 @@ func UsageViolations(c *model.Class, reg Registry, max int, opts ...Option) ([]V
 		for _, sym := range spec.Alphabet() {
 			specSyms[sym] = struct{}{}
 		}
-		for _, tr := range badUsages(flatDFA, spec, specSyms, max) {
+		traces, err := badUsages(cfg, flatDFA, spec, specSyms, max)
+		if err != nil {
+			return nil, err
+		}
+		for _, tr := range traces {
 			out = append(out, Violation{Subsystem: name, Trace: tr})
 		}
 	}
@@ -59,8 +71,10 @@ func UsageViolations(c *model.Class, reg Registry, max int, opts ...Option) ([]V
 // badUsages collects up to max violating complete usages for one
 // subsystem. Unlike shortestBadUsage it keeps searching after the first
 // hit, but still visits each product state once, so each reported trace
-// reaches a distinct violating configuration.
-func badUsages(flat, spec *automata.DFA, specSyms map[string]struct{}, max int) [][]string {
+// reaches a distinct violating configuration. The search runs under
+// cfg.ctx's MaxSearchNodes budget and observes cancellation.
+func badUsages(cfg config, flat, spec *automata.DFA, specSyms map[string]struct{}, max int) ([][]string, error) {
+	gate := budget.SearchGate(cfg.ctx, "usage-violations")
 	type pair struct{ f, s int }
 	type node struct {
 		at    pair
@@ -73,10 +87,13 @@ func badUsages(flat, spec *automata.DFA, specSyms map[string]struct{}, max int) 
 	for len(frontier) > 0 && len(out) < max {
 		var next []node
 		for _, n := range frontier {
+			if err := gate.Tick(); err != nil {
+				return nil, err
+			}
 			if flat.Accepting(n.at.f) && (n.at.s < 0 || !spec.Accepting(n.at.s)) {
 				out = append(out, n.trace)
 				if len(out) >= max {
-					return out
+					return out, nil
 				}
 			}
 			for _, sym := range flat.Alphabet() {
@@ -106,5 +123,5 @@ func badUsages(flat, spec *automata.DFA, specSyms map[string]struct{}, max int) 
 		}
 		frontier = next
 	}
-	return out
+	return out, nil
 }

@@ -84,7 +84,11 @@ func Hash(p Program) uint64 {
 // bits, accidental collisions between distinct programs are outside the
 // realm of reachable workloads, which the differential test layer
 // relies on.
-func Fingerprint(p Program) string {
-	sum := sha256.Sum256(AppendCanonical(nil, p))
-	return hex.EncodeToString(sum[:16])
+func Fingerprint(p Program) string { return string(AppendFingerprint(nil, p)) }
+
+// AppendFingerprint appends Fingerprint(p) to dst.
+func AppendFingerprint(dst []byte, p Program) []byte {
+	var buf [512]byte
+	sum := sha256.Sum256(AppendCanonical(buf[:0], p))
+	return hex.AppendEncode(dst, sum[:16])
 }

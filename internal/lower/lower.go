@@ -23,6 +23,7 @@ package lower
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/shelley-go/shelley/internal/ir"
 	"github.com/shelley-go/shelley/internal/pyast"
@@ -389,7 +390,7 @@ func (l *lowerer) checkUntrackedReceiver(call *pyast.CallExpr) error {
 	if !ok {
 		return nil
 	}
-	parts := splitDots(name)
+	parts := strings.Split(name, ".")
 	if len(parts) < 4 || parts[0] != "self" {
 		return nil
 	}
@@ -453,16 +454,4 @@ func stmtAlwaysReturns(s pyast.Stmt) bool {
 	default:
 		return false
 	}
-}
-
-func splitDots(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
 }

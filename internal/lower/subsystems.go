@@ -2,6 +2,7 @@ package lower
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/shelley-go/shelley/internal/pyast"
 )
@@ -37,7 +38,7 @@ func SubsystemTypes(cls *pyast.ClassDef, declared []string) (map[string]string, 
 		if !ok {
 			continue
 		}
-		parts := splitDots(target)
+		parts := strings.Split(target, ".")
 		if len(parts) != 2 || parts[0] != "self" {
 			continue
 		}

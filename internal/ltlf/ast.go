@@ -14,6 +14,7 @@ package ltlf
 import (
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Formula is an LTLf formula node. Formulas are immutable.
@@ -23,7 +24,9 @@ type Formula interface {
 	String() string
 
 	precedence() int
-	key() string
+
+	// appendKey appends the formula's canonical structural key to b.
+	appendKey(b []byte) []byte
 }
 
 type (
@@ -110,6 +113,7 @@ func NotOf(x Formula) Formula {
 func AndOf(xs ...Formula) Formula {
 	seen := make(map[string]struct{})
 	var parts []Formula
+	var keys []string            // keys[i] is the key of parts[i]
 	var add func(f Formula) bool // returns false on contradiction
 	add = func(f Formula) bool {
 		switch f := f.(type) {
@@ -125,16 +129,17 @@ func AndOf(xs ...Formula) Formula {
 			}
 			return true
 		default:
-			k := f.key()
+			k := key(f)
 			if _, dup := seen[k]; dup {
 				return true
 			}
 			// a & !a = false
-			if _, clash := seen[NotOf(f).key()]; clash {
+			if _, clash := seen[negKey(f, k)]; clash {
 				return false
 			}
 			seen[k] = struct{}{}
 			parts = append(parts, f)
+			keys = append(keys, k)
 			return true
 		}
 	}
@@ -149,7 +154,7 @@ func AndOf(xs ...Formula) Formula {
 	case 1:
 		return parts[0]
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].key() < parts[j].key() })
+	sort.Sort(byKey{parts, keys})
 	return And{Xs: parts}
 }
 
@@ -157,6 +162,7 @@ func AndOf(xs ...Formula) Formula {
 func OrOf(xs ...Formula) Formula {
 	seen := make(map[string]struct{})
 	var parts []Formula
+	var keys []string            // keys[i] is the key of parts[i]
 	var add func(f Formula) bool // returns false on tautology
 	add = func(f Formula) bool {
 		switch f := f.(type) {
@@ -172,15 +178,16 @@ func OrOf(xs ...Formula) Formula {
 			}
 			return true
 		default:
-			k := f.key()
+			k := key(f)
 			if _, dup := seen[k]; dup {
 				return true
 			}
-			if _, clash := seen[NotOf(f).key()]; clash {
+			if _, clash := seen[negKey(f, k)]; clash {
 				return false
 			}
 			seen[k] = struct{}{}
 			parts = append(parts, f)
+			keys = append(keys, k)
 			return true
 		}
 	}
@@ -195,7 +202,7 @@ func OrOf(xs ...Formula) Formula {
 	case 1:
 		return parts[0]
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].key() < parts[j].key() })
+	sort.Sort(byKey{parts, keys})
 	return Or{Xs: parts}
 }
 
@@ -303,38 +310,79 @@ func joinChildren(fs []Formula, sep string, parent int) string {
 	return b.String()
 }
 
-func (Tru) key() string        { return "T" }
-func (Fls) key() string        { return "F" }
-func (a Atom) key() string     { return "a(" + a.Name + ")" }
-func (nonempty) key() string   { return "ne" }
-func (f Not) key() string      { return "!(" + f.X.key() + ")" }
-func (f Next) key() string     { return "X(" + f.X.key() + ")" }
-func (f WeakNext) key() string { return "N(" + f.X.key() + ")" }
-func (f Globally) key() string { return "G(" + f.X.key() + ")" }
-func (f Finally) key() string  { return "Fi(" + f.X.key() + ")" }
-func (f Until) key() string    { return "U(" + f.L.key() + "," + f.R.key() + ")" }
-func (f WeakUntil) key() string {
-	return "W(" + f.L.key() + "," + f.R.key() + ")"
+func (Tru) appendKey(b []byte) []byte      { return append(b, 'T') }
+func (Fls) appendKey(b []byte) []byte      { return append(b, 'F') }
+func (a Atom) appendKey(b []byte) []byte   { return append(append(append(b, "a("...), a.Name...), ')') }
+func (nonempty) appendKey(b []byte) []byte { return append(b, "ne"...) }
+func (f Not) appendKey(b []byte) []byte    { return unaryKey(b, "!(", f.X) }
+func (f Next) appendKey(b []byte) []byte   { return unaryKey(b, "X(", f.X) }
+func (f WeakNext) appendKey(b []byte) []byte {
+	return unaryKey(b, "N(", f.X)
 }
-func (f Release) key() string { return "R(" + f.L.key() + "," + f.R.key() + ")" }
-func (f And) key() string {
-	parts := make([]string, len(f.Xs))
-	for i, x := range f.Xs {
-		parts[i] = x.key()
+func (f Globally) appendKey(b []byte) []byte  { return unaryKey(b, "G(", f.X) }
+func (f Finally) appendKey(b []byte) []byte   { return unaryKey(b, "Fi(", f.X) }
+func (f Until) appendKey(b []byte) []byte     { return naryKey(b, "U(", f.L, f.R) }
+func (f WeakUntil) appendKey(b []byte) []byte { return naryKey(b, "W(", f.L, f.R) }
+func (f Release) appendKey(b []byte) []byte   { return naryKey(b, "R(", f.L, f.R) }
+func (f And) appendKey(b []byte) []byte       { return naryKey(b, "&(", f.Xs...) }
+func (f Or) appendKey(b []byte) []byte        { return naryKey(b, "|(", f.Xs...) }
+func (f Implies) appendKey(b []byte) []byte   { return naryKey(b, "->(", f.L, f.R) }
+
+func unaryKey(b []byte, op string, x Formula) []byte {
+	return append(x.appendKey(append(b, op...)), ')')
+}
+
+func naryKey(b []byte, op string, xs ...Formula) []byte {
+	b = append(b, op...)
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = x.appendKey(b)
 	}
-	return "&(" + strings.Join(parts, ",") + ")"
+	return append(b, ')')
 }
-func (f Or) key() string {
-	parts := make([]string, len(f.Xs))
-	for i, x := range f.Xs {
-		parts[i] = x.key()
+
+// keyBufs pools the buffers key renders into, so a key costs one
+// allocation: the string.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// key returns f's canonical structural key.
+func key(f Formula) string {
+	if a, ok := f.(Atom); ok {
+		return "a(" + a.Name + ")"
 	}
-	return "|(" + strings.Join(parts, ",") + ")"
+	bp := keyBufs.Get().(*[]byte)
+	*bp = f.appendKey((*bp)[:0])
+	k := string(*bp)
+	keyBufs.Put(bp)
+	return k
 }
-func (f Implies) key() string { return "->(" + f.L.key() + "," + f.R.key() + ")" }
+
+// negKey returns the key of NotOf(f), given f's key k, for any f but
+// the constants.
+func negKey(f Formula, k string) string {
+	if n, ok := f.(Not); ok {
+		return key(n.X)
+	}
+	return "!(" + k + ")"
+}
+
+// byKey sorts distinct formulas by their keys.
+type byKey struct {
+	parts []Formula
+	keys  []string
+}
+
+func (s byKey) Len() int           { return len(s.parts) }
+func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.parts[i], s.parts[j] = s.parts[j], s.parts[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
 
 // Key returns a canonical structural key for f, usable as a map key.
-func Key(f Formula) string { return f.key() }
+func Key(f Formula) string { return key(f) }
 
 // Atoms returns the sorted set of atom names occurring in f.
 func Atoms(f Formula) []string {

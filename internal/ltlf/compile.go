@@ -2,6 +2,7 @@ package ltlf
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -321,7 +322,7 @@ func dnfBounded(f Formula, maxClauses int) (clauses []map[string]Formula, ok boo
 		}
 		return pruneSubsumed(out), true
 	default:
-		return []map[string]Formula{{f.key(): f}}, true
+		return []map[string]Formula{{key(f): f}}, true
 	}
 }
 
@@ -332,7 +333,7 @@ func mergeClause(a, b map[string]Formula) (map[string]Formula, bool) {
 	}
 	for k, v := range b {
 		// Contradiction pruning for atom literals.
-		if _, clash := m[NotOf(v).key()]; clash {
+		if _, clash := m[negKey(v, k)]; clash {
 			return nil, false
 		}
 		m[k] = v
@@ -389,6 +390,8 @@ func Compile(f Formula, alphabet []string) *automata.DFA {
 // DNF clause count of any single canonicalization (the two blowup axes
 // of formula progression), and cancellation is observed as states are
 // added. The final minimization runs under the same context.
+// Progression takes the events in the order alphabet lists them, which
+// decides which budget trips first but not the automaton.
 func CompileCtx(ctx context.Context, f Formula, alphabet []string) (*automata.DFA, error) {
 	gate := budget.DFAGate(ctx, "ltlf-compile")
 	maxClauses := budget.From(ctx).MaxRegexSize
@@ -413,7 +416,7 @@ func CompileCtx(ctx context.Context, f Formula, alphabet []string) (*automata.DF
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, sigma := range d.Alphabet() {
+		for _, sigma := range alphabet {
 			next := progress(cur.f, sigma)
 			key, ok := canonicalBounded(next, maxClauses)
 			if !ok {
@@ -435,6 +438,43 @@ func CompileCtx(ctx context.Context, f Formula, alphabet []string) (*automata.DF
 		}
 	}
 	return d.MinimizeCtx(ctx)
+}
+
+// Other is the minterm symbol that stands for every event a formula
+// does not name (Minterms). It is no identifier, so no atom can equal
+// it.
+const Other = "<other>"
+
+// Minterms returns a smaller alphabet that f cannot tell from alphabet:
+// progression only compares events with the atoms f names, so every
+// other event moves it exactly as Other does. The minterms are the
+// atoms of f that occur in alphabet, plus Other when some event of
+// alphabet is no atom of f, in the order of their first occurrence in
+// alphabet (an event's minterm is class(event)). Compiling f over them
+// meets the residues that compiling over alphabet meets, in the same
+// order, so the two compiles have equal state counts and trip the same
+// budget; relabeling the minterm DFA with class gives the other DFA.
+func Minterms(f Formula, alphabet []string) (minterms []string, class func(event string) string) {
+	atoms := Atoms(f)
+	class = func(event string) string {
+		if _, ok := slices.BinarySearch(atoms, event); ok {
+			return event
+		}
+		return Other
+	}
+	if slices.Contains(alphabet, Other) {
+		return alphabet, func(event string) string { return event }
+	}
+	seenOther := false
+	for _, event := range alphabet {
+		if m := class(event); m != Other {
+			minterms = append(minterms, m)
+		} else if !seenOther {
+			seenOther = true
+			minterms = append(minterms, Other)
+		}
+	}
+	return minterms, class
 }
 
 // CompileNegation builds a DFA accepting exactly the traces that VIOLATE

@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
+	"strconv"
+	"sync"
 
 	"github.com/shelley-go/shelley/internal/ir"
 	"github.com/shelley-go/shelley/internal/lower"
+	"github.com/shelley-go/shelley/internal/pytoken"
 )
 
 // Fingerprint returns a stable 128-bit content key (32 hex digits) of
@@ -55,18 +57,15 @@ func (c *Class) ProtocolFingerprint() string {
 // Session computes between module generations.
 func (op *Operation) Fingerprint() string {
 	op.fpOnce.Do(func() {
-		h := sha256.New()
-		w := fpWriter{h: h}
+		w := newFPWriter()
 		fingerprintOperation(w, op)
-		sum := h.Sum(nil)
-		op.fp = hex.EncodeToString(sum[:16])
+		op.fp = w.sum()
 	})
 	return op.fp
 }
 
 func fingerprintProtocol(c *Class) string {
-	h := sha256.New()
-	w := fpWriter{h: h}
+	w := newFPWriter()
 	w.str(c.Name)
 	w.flag(c.IsSys)
 	w.num(len(c.Operations))
@@ -84,46 +83,66 @@ func fingerprintProtocol(c *Class) string {
 			}
 		}
 	}
-	sum := h.Sum(nil)
+	return w.sum()
+}
+
+// fpWriter serializes strings, bools, and counts with length prefixes
+// so the byte stream stays injective (no two distinct classes serialize
+// identically), into a pooled buffer that sum hashes.
+type fpWriter struct{ b *[]byte }
+
+var fpBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func newFPWriter() fpWriter {
+	w := fpWriter{fpBufs.Get().(*[]byte)}
+	*w.b = (*w.b)[:0]
+	return w
+}
+
+// sum returns the first 128 bits of the stream's SHA-256 in hex and
+// releases the buffer.
+func (w fpWriter) sum() string {
+	sum := sha256.Sum256(*w.b)
+	fpBufs.Put(w.b)
 	return hex.EncodeToString(sum[:16])
 }
 
-// fpWriter hashes strings, bools, and counts with length prefixes so
-// the byte stream stays injective (no two distinct classes serialize
-// identically).
-type fpWriter struct{ h hash.Hash }
-
 func (w fpWriter) str(s string) {
 	w.num(len(s))
-	w.h.Write([]byte(s))
+	*w.b = append(*w.b, s...)
+}
+
+// pos writes p.String() as str does, without building the string.
+func (w fpWriter) pos(p pytoken.Pos) {
+	var buf [24]byte
+	text := strconv.AppendInt(append(strconv.AppendInt(buf[:0], int64(p.Line), 10), ':'), int64(p.Col), 10)
+	w.num(len(text))
+	*w.b = append(*w.b, text...)
 }
 
 func (w fpWriter) num(n int) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(n))
-	w.h.Write(buf[:])
+	*w.b = binary.LittleEndian.AppendUint32(*w.b, uint32(n))
 }
 
 func (w fpWriter) flag(b bool) {
 	if b {
-		w.h.Write([]byte{1})
+		w.tag(1)
 	} else {
-		w.h.Write([]byte{0})
+		w.tag(0)
 	}
 }
 
-func (w fpWriter) tag(t byte) { w.h.Write([]byte{t}) }
+func (w fpWriter) tag(t byte) { *w.b = append(*w.b, t) }
 
 func fingerprintClass(c *Class) string {
-	h := sha256.New()
-	w := fpWriter{h: h}
+	w := newFPWriter()
 
 	w.str(c.Name)
 	w.flag(c.IsSys)
 	w.num(len(c.Claims))
 	for _, cl := range c.Claims {
 		w.str(cl.Formula)
-		w.str(cl.Pos.String())
+		w.pos(cl.Pos)
 	}
 	w.num(len(c.SubsystemNames))
 	for _, name := range c.SubsystemNames {
@@ -140,8 +159,7 @@ func fingerprintClass(c *Class) string {
 		w.tag('H')
 		fingerprintOperation(w, helper)
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	return w.sum()
 }
 
 func fingerprintOperation(w fpWriter, op *Operation) {
@@ -153,15 +171,17 @@ func fingerprintOperation(w fpWriter, op *Operation) {
 }
 
 func fingerprintMethod(w fpWriter, m *lower.Method) {
-	body := ir.AppendCanonical(nil, m.Program)
-	w.num(len(body))
-	w.h.Write(body)
+	// The body, prefixed with its length once it is known.
+	at := len(*w.b)
+	w.num(0)
+	*w.b = ir.AppendCanonical(*w.b, m.Program)
+	binary.LittleEndian.PutUint32((*w.b)[at:], uint32(len(*w.b)-at-4))
 	w.flag(m.AlwaysReturns)
 	w.num(len(m.Exits))
 	for _, e := range m.Exits {
 		w.flag(e.Declared)
 		w.flag(e.HasValue)
-		w.str(e.Pos.String())
+		w.pos(e.Pos)
 		w.num(len(e.Next))
 		for _, next := range e.Next {
 			w.str(next)

@@ -8,7 +8,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/shelley-go/shelley/internal/core"
@@ -103,6 +103,10 @@ type Class struct {
 	// the protocol surface dependents can observe.
 	protoOnce sync.Once
 	protoFP   string
+
+	// edges memoizes ProtocolEdges.
+	edgesOnce sync.Once
+	edges     map[string][]string
 }
 
 // Operation returns the operation with the given name, or nil.
@@ -260,21 +264,18 @@ func (c *Class) DepGraph() (*depgraph.Graph, error) {
 
 // ProtocolEdges returns, per operation, the sorted union over its exits
 // of the methods allowed next. It is the edge relation of Figs. 1–3.
+// It is computed once per class; callers must not modify the result.
 func (c *Class) ProtocolEdges() map[string][]string {
-	out := make(map[string][]string, len(c.Operations))
-	for _, op := range c.Operations {
-		set := make(map[string]struct{})
-		for _, e := range op.Method.Exits {
-			for _, n := range e.Next {
-				set[n] = struct{}{}
+	c.edgesOnce.Do(func() {
+		c.edges = make(map[string][]string, len(c.Operations))
+		for _, op := range c.Operations {
+			next := []string{}
+			for _, e := range op.Method.Exits {
+				next = append(next, e.Next...)
 			}
+			slices.Sort(next)
+			c.edges[op.Name] = slices.Compact(next)
 		}
-		next := make([]string, 0, len(set))
-		for n := range set {
-			next = append(next, n)
-		}
-		sort.Strings(next)
-		out[op.Name] = next
-	}
-	return out
+	})
+	return c.edges
 }

@@ -21,6 +21,7 @@ type TraceBuffer struct {
 	traces    map[string]*traceGroup
 	order     []string // trace IDs, oldest first
 	evicted   uint64
+	free      []*traceGroup // groups that were discarded or evicted, for reuse
 }
 
 type traceGroup struct {
@@ -57,10 +58,15 @@ func (b *TraceBuffer) Export(sd SpanData) {
 		if len(b.order) >= b.maxTraces {
 			oldest := b.order[0]
 			b.order = b.order[1:]
+			b.recycleLocked(b.traces[oldest])
 			delete(b.traces, oldest)
 			b.evicted++
 		}
-		g = &traceGroup{}
+		if n := len(b.free); n > 0 {
+			g, b.free = b.free[n-1], b.free[:n-1]
+		} else {
+			g = &traceGroup{}
+		}
 		b.traces[sd.TraceID] = g
 		b.order = append(b.order, sd.TraceID)
 	}
@@ -91,12 +97,24 @@ func (b *TraceBuffer) Take(traceID string) (spans []SpanData, dropped int, ok bo
 
 // Discard drops a trace's retained spans without returning them — the
 // fast path for the overwhelming majority of uninteresting requests.
+// The trace's group is reused for a later trace; a Taken one is not.
 func (b *TraceBuffer) Discard(traceID string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.traces[traceID]; ok {
+	if g, ok := b.traces[traceID]; ok {
 		b.removeLocked(traceID)
+		b.recycleLocked(g)
 	}
+}
+
+// recycleLocked clears g and keeps it for reuse, up to maxTraces groups.
+func (b *TraceBuffer) recycleLocked(g *traceGroup) {
+	if len(b.free) >= b.maxTraces {
+		return
+	}
+	clear(g.spans)
+	g.spans, g.dropped = g.spans[:0], 0
+	b.free = append(b.free, g)
 }
 
 func (b *TraceBuffer) removeLocked(traceID string) {

@@ -85,3 +85,32 @@ func TestTraceBufferDiscard(t *testing.T) {
 		t.Errorf("empty trace ID should be ignored; Len = %d", b.Len())
 	}
 }
+
+// TestTraceBufferRecyclesDiscardedGroups: a discarded trace's group is
+// reused, so an Export/Discard cycle allocates nothing once warm, while
+// spans handed out by Take are never overwritten by later traces.
+func TestTraceBufferRecyclesDiscardedGroups(t *testing.T) {
+	b := NewTraceBuffer(4, 8)
+	b.Export(SpanData{TraceID: "kept", SpanID: "k1"})
+	kept, _, _ := b.Take("kept")
+	cycle := func() {
+		b.Export(SpanData{TraceID: "t", SpanID: "s1"})
+		b.Export(SpanData{TraceID: "t", SpanID: "s2"})
+		b.Discard("t")
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("Export/Discard cycle allocates %.1f times, want 0", allocs)
+	}
+	for i := 0; i < 10; i++ {
+		b.Export(SpanData{TraceID: fmt.Sprintf("u%d", i), SpanID: "x"})
+	}
+	if len(kept) != 1 || kept[0].SpanID != "k1" {
+		t.Fatalf("taken spans were overwritten: %+v", kept)
+	}
+	b.Export(SpanData{TraceID: "t", SpanID: "fresh"})
+	spans, dropped, ok := b.Take("t")
+	if !ok || dropped != 0 || len(spans) != 1 || spans[0].SpanID != "fresh" {
+		t.Fatalf("a reused group carried old state: %+v dropped=%d ok=%v", spans, dropped, ok)
+	}
+}

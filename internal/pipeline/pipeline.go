@@ -62,7 +62,8 @@ const (
 	StageFlatten
 
 	// StageClaim memoizes compiled LTLf claim-violation automata
-	// (keyed by formula text and alphabet).
+	// (keyed by formula text and the formula's minterms of the
+	// alphabet).
 	StageClaim
 
 	// StageReport memoizes whole-class verification reports (keyed
@@ -160,7 +161,7 @@ type Cache struct {
 // shard holds two generations; an entry lives in exactly one of them.
 type shard struct {
 	mu         sync.Mutex
-	young, old map[string]*entry
+	young, old map[cacheKey]*entry
 }
 
 // entry is one singleflight cell: ready is closed once val/err are
@@ -194,18 +195,24 @@ func (c *Cache) Persist(stage Stage, p Persister, codec Codec) {
 func New() *Cache {
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].young = make(map[string]*entry)
+		c.shards[i].young = make(map[cacheKey]*entry)
 	}
 	return c
 }
 
-// entryKey prefixes key with its stage, which addLocked reads back.
-func entryKey(stage Stage, key string) string {
-	return string(rune('0'+int(stage))) + key
+// cacheKey identifies an entry: its stage and the stage's own key.
+type cacheKey struct {
+	stage Stage
+	key   string
 }
 
+func entryKey(stage Stage, key string) cacheKey { return cacheKey{stage, key} }
+
+// stored is the key's name in a Persister: the stage digit, then key.
+func (k cacheKey) stored() string { return string(rune('0'+int(k.stage))) + k.key }
+
 // lookupLocked returns k's entry or nil, promoting an old-generation hit.
-func (c *Cache) lookupLocked(sh *shard, k string) *entry {
+func (c *Cache) lookupLocked(sh *shard, k cacheKey) *entry {
 	if e := sh.young[k]; e != nil {
 		return e
 	}
@@ -219,33 +226,34 @@ func (c *Cache) lookupLocked(sh *shard, k string) *entry {
 
 // addLocked puts e into the young generation; a full one first becomes
 // old, dropping the old one (its waiters are still released).
-func (c *Cache) addLocked(sh *shard, k string, e *entry) {
+func (c *Cache) addLocked(sh *shard, k cacheKey, e *entry) {
 	if len(sh.young) >= genEntries/shardCount {
 		for dk := range sh.old {
-			c.stats[dk[0]-'0'].entries.Add(-1)
+			c.stats[dk.stage].entries.Add(-1)
 		}
-		sh.old, sh.young = sh.young, make(map[string]*entry, genEntries/shardCount)
+		sh.old, sh.young = sh.young, make(map[cacheKey]*entry, genEntries/shardCount)
 	}
 	sh.young[k] = e
 }
 
 // removeLocked deletes k only while it maps to e, never an entry that
 // a later caller rebuilt after e was dropped.
-func (c *Cache) removeLocked(sh *shard, k string, e *entry) {
-	for _, gen := range [...]map[string]*entry{sh.young, sh.old} {
+func (c *Cache) removeLocked(sh *shard, k cacheKey, e *entry) {
+	for _, gen := range [...]map[cacheKey]*entry{sh.young, sh.old} {
 		if gen[k] == e {
 			delete(gen, k)
-			c.stats[k[0]-'0'].entries.Add(-1)
+			c.stats[k.stage].entries.Add(-1)
 			return
 		}
 	}
 }
 
-func shardIndex(key string) int {
-	// FNV-1a over the key; cheaper than importing hash/fnv per call.
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
+func shardIndex(k cacheKey) int {
+	// FNV-1a over the stage digit and the key; cheaper than importing
+	// hash/fnv per call.
+	h := (uint32(2166136261) ^ uint32('0'+k.stage)) * 16777619
+	for i := 0; i < len(k.key); i++ {
+		h ^= uint32(k.key[i])
 		h *= 16777619
 	}
 	return int(h & (shardCount - 1))
@@ -326,7 +334,7 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 	// and any failure silently falls through to the build below.
 	hook := c.persist[stage].Load()
 	if hook != nil {
-		if raw, ok := hook.store.Get(k); ok {
+		if raw, ok := hook.store.Get(k.stored()); ok {
 			if v, derr := hook.codec.DecodeArtifact(raw); derr == nil {
 				e.val = v
 				close(e.ready)
@@ -383,7 +391,7 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 	// encode, which is trivial next to the build that just ran.
 	if hook != nil && cacheable && e.err == nil {
 		if raw, perr := hook.codec.EncodeArtifact(e.val); perr == nil {
-			hook.store.Put(k, raw)
+			hook.store.Put(k.stored(), raw)
 		}
 	}
 	return e.val, e.err
@@ -458,7 +466,7 @@ func SpecKey(classFingerprint, prefix string) string {
 // memoized under StageBehavior. ctx carries the active span for stage
 // tracing; context.Background() is always valid.
 func (c *Cache) Infer(ctx context.Context, p ir.Program) regex.Regex {
-	r, _ := MemoCtx(ctx, c, StageBehavior, "raw|"+ir.Fingerprint(p), func(context.Context) (regex.Regex, error) {
+	r, _ := MemoCtx(ctx, c, StageBehavior, programKey("raw|", p), func(context.Context) (regex.Regex, error) {
 		return core.Infer(p), nil
 	})
 	return r
@@ -467,10 +475,16 @@ func (c *Cache) Infer(ctx context.Context, p ir.Program) regex.Regex {
 // InferSimplified returns the language-preserving normalization of
 // ⟦p⟧, memoized under StageBehavior.
 func (c *Cache) InferSimplified(ctx context.Context, p ir.Program) regex.Regex {
-	r, _ := MemoCtx(ctx, c, StageBehavior, "simp|"+ir.Fingerprint(p), func(context.Context) (regex.Regex, error) {
+	r, _ := MemoCtx(ctx, c, StageBehavior, programKey("simp|", p), func(context.Context) (regex.Regex, error) {
 		return regex.Simplify(core.Infer(p)), nil
 	})
 	return r
+}
+
+// programKey is prefix+ir.Fingerprint(p), built in one allocation.
+func programKey(prefix string, p ir.Program) string {
+	var buf [40]byte
+	return string(ir.AppendFingerprint(append(buf[:0], prefix...), p))
 }
 
 // budgetKey prefixes key with the canonical encoding of the given
@@ -482,10 +496,11 @@ func (c *Cache) InferSimplified(ctx context.Context, p ir.Program) regex.Regex {
 // limits that cannot affect the artifact. Unlimited limits leave the
 // key unchanged, so pre-budget entries keep hitting.
 func budgetKey(l budget.Limits, key string) string {
-	if bk := l.Key(); bk != "" {
-		return bk + "\x01" + key
+	if l.Unlimited() {
+		return key
 	}
-	return key
+	var buf [128]byte
+	return string(append(append(l.AppendKey(buf[:0]), '\x01'), key...))
 }
 
 // dfaLimits projects l onto the limits a regex→DFA compilation or an
@@ -520,14 +535,22 @@ func (c *Cache) BehaviorDFA(ctx context.Context, p ir.Program) (*automata.DFA, e
 	return c.MinimalDFA(ctx, c.InferSimplified(ctx, p))
 }
 
-// ClaimNegation compiles the violation automaton of an LTLf claim,
-// memoized under StageClaim. formulaText must be the source text of f
-// (it is the key, prefixed with the claim-relevant projection of ctx's
-// budget key; two formulas with equal text are equal). The compilation
-// runs under ctx's budget.
+// ClaimNegation compiles the violation automaton of an LTLf claim over
+// alphabet under ctx's budget. The cache holds the compile over the
+// formula's minterms (ltlf.Minterms), memoized under StageClaim and
+// keyed by formulaText, which must be the source text of f, and the
+// minterms, prefixed with the claim-relevant projection of ctx's budget
+// key; alphabets that differ only in events f does not name share the
+// entry. The result is that automaton relabeled onto alphabet, which is
+// exactly the minimal DFA a compile over alphabet itself returns.
 func (c *Cache) ClaimNegation(ctx context.Context, f ltlf.Formula, formulaText string, alphabet []string) (*automata.DFA, error) {
-	key := budgetKey(dfaLimits(budget.From(ctx)), formulaText+"\x00"+strings.Join(alphabet, "\x00"))
-	return MemoCtx(ctx, c, StageClaim, key, func(ctx context.Context) (*automata.DFA, error) {
-		return ltlf.CompileNegationCtx(ctx, f, alphabet)
+	minterms, class := ltlf.Minterms(f, alphabet)
+	key := budgetKey(dfaLimits(budget.From(ctx)), formulaText+"\x00"+strings.Join(minterms, "\x00"))
+	d, err := MemoCtx(ctx, c, StageClaim, key, func(ctx context.Context) (*automata.DFA, error) {
+		return ltlf.CompileNegationCtx(ctx, f, minterms)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return d.Relabel(alphabet, class), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,22 +196,31 @@ func TestInferMatchesCore(t *testing.T) {
 
 func TestClaimNegationCachedByTextAndAlphabet(t *testing.T) {
 	c := New()
+	ctx := context.Background()
 	f := ltlf.MustParse("(!a) W b")
-	d1, _ := c.ClaimNegation(context.Background(), f, "(!a) W b", []string{"a", "b"})
-	d2, _ := c.ClaimNegation(context.Background(), f, "(!a) W b", []string{"a", "b"})
-	if d1 != d2 {
-		t.Fatal("same formula and alphabet must share one cached automaton")
-	}
-	// A different alphabet is a different language — it must not alias.
-	d3, _ := c.ClaimNegation(context.Background(), f, "(!a) W b", []string{"a", "b", "c"})
-	if d3 == d1 {
-		t.Fatal("distinct alphabets alias one cache entry")
-	}
-	if len(d3.Alphabet()) == len(d1.Alphabet()) {
-		t.Fatal("alphabet extension lost")
-	}
-	if st := c.Stats().Of(StageClaim); st.Misses != 2 || st.Hits != 1 {
-		t.Fatalf("stats %+v, want 2 misses / 1 hit", st)
+	for i, tc := range []struct {
+		alphabet     []string
+		misses, hits uint64
+	}{
+		{[]string{"a", "b", "c"}, 1, 0},
+		// Differs only in events the formula does not name: one entry.
+		{[]string{"a", "b", "d", "e"}, 1, 1},
+		// No event besides the atoms: other minterms.
+		{[]string{"a", "b"}, 2, 1},
+		// The other events come first: other minterm order.
+		{[]string{"0", "a", "b"}, 3, 1},
+		{[]string{"a", "b", "c"}, 3, 2},
+	} {
+		got, err := c.ClaimNegation(ctx, f, "(!a) W b", tc.alphabet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ltlf.CompileNegation(f, tc.alphabet); !reflect.DeepEqual(got, want) {
+			t.Fatalf("#%d: cached automaton over %v differs from a compile over it", i, tc.alphabet)
+		}
+		if st := c.Stats().Of(StageClaim); st.Misses != tc.misses || st.Hits != tc.hits {
+			t.Fatalf("#%d: stats %+v, want %d misses / %d hits", i, st, tc.misses, tc.hits)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package pyparse
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/shelley-go/shelley/internal/pyast"
 	"github.com/shelley-go/shelley/internal/pytoken"
@@ -29,12 +30,18 @@ func ParseModule(src string) (*pyast.Module, error) { return ParseModuleAt(src, 
 // coordinates (pytoken.TokenizeAt): ParseModule(src) ==
 // ParseModuleAt(src, 1).
 func ParseModuleAt(src string, line int) (*pyast.Module, error) {
-	toks, err := pytoken.TokenizeAt(src, line)
-	if err != nil {
-		return nil, err
+	p := &parser{lex: pytoken.NewLexer(src, line)}
+	p.advance()
+	mod, err := p.parseModule()
+	// A lexical error anywhere wins over a parse error: drain the lexer
+	// past the token the parse stopped at.
+	for err != nil && p.lexErr == nil && p.tok.Kind != pytoken.EOF {
+		p.advance()
 	}
-	p := &parser{toks: toks}
-	return p.parseModule()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return mod, err
 }
 
 // ParseClass parses a source file and returns the class named name. It
@@ -52,19 +59,47 @@ func ParseClass(src, name string) (*pyast.ClassDef, error) {
 	return nil, fmt.Errorf("pyparse: class %q not found", name)
 }
 
+// parser pulls tokens from the lexer with one token of lookahead. A
+// lexical error ends the stream: the parser sees EOF from then on, and
+// ParseModuleAt reports the lexical error instead of the parse outcome.
 type parser struct {
-	toks []pytoken.Token
-	pos  int
+	lex    *pytoken.Lexer
+	tok    pytoken.Token
+	lexErr error
+
+	// Stacks the lists being parsed grow on, innermost last; each list
+	// is copied out at its exact length (pop).
+	stmts      []pyast.Stmt
+	decorators []*pyast.Decorator
+	params     []string
 }
 
-func (p *parser) peek() pytoken.Token { return p.toks[p.pos] }
+// pop returns a copy of (*stack)[from:], nil when it is empty, and
+// truncates the stack back to from.
+func pop[T any](stack *[]T, from int) []T {
+	var out []T
+	if len(*stack) > from {
+		out = slices.Clone((*stack)[from:])
+	}
+	clear((*stack)[from:])
+	*stack = (*stack)[:from]
+	return out
+}
 
-func (p *parser) at(k pytoken.Kind) bool { return p.peek().Kind == k }
+func (p *parser) advance() {
+	if p.tok, p.lexErr = p.lex.Next(); p.lexErr != nil {
+		p.tok = pytoken.Token{Kind: pytoken.EOF}
+	}
+}
+
+func (p *parser) peek() pytoken.Token { return p.tok }
+
+func (p *parser) at(k pytoken.Kind) bool { return p.tok.Kind == k }
 
 func (p *parser) next() pytoken.Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != pytoken.EOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
@@ -128,7 +163,7 @@ func (p *parser) parseModule() (*pyast.Module, error) {
 }
 
 func (p *parser) parseDecorators() ([]*pyast.Decorator, error) {
-	var out []*pyast.Decorator
+	from := len(p.decorators)
 	for p.at(pytoken.At) {
 		p.next()
 		nameTok, err := p.expect(pytoken.Name)
@@ -158,9 +193,9 @@ func (p *parser) parseDecorators() ([]*pyast.Decorator, error) {
 		if _, err := p.expect(pytoken.Newline); err != nil {
 			return nil, err
 		}
-		out = append(out, d)
+		p.decorators = append(p.decorators, d)
 	}
-	return out, nil
+	return pop(&p.decorators, from), nil
 }
 
 func (p *parser) parseClassDef(decorators []*pyast.Decorator) (*pyast.ClassDef, error) {
@@ -234,12 +269,13 @@ func (p *parser) parseFuncDef(decorators []*pyast.Decorator) (*pyast.FuncDef, er
 	if _, err := p.expect(pytoken.LParen); err != nil {
 		return nil, err
 	}
+	from := len(p.params)
 	for !p.at(pytoken.RParen) {
 		param, err := p.expect(pytoken.Name)
 		if err != nil {
 			return nil, err
 		}
-		fn.Params = append(fn.Params, param.Text)
+		p.params = append(p.params, param.Text)
 		// Default values and annotations: parse and discard.
 		if p.accept(pytoken.Colon) {
 			if _, err := p.parseExpr(); err != nil {
@@ -255,6 +291,7 @@ func (p *parser) parseFuncDef(decorators []*pyast.Decorator) (*pyast.FuncDef, er
 			break
 		}
 	}
+	fn.Params = pop(&p.params, from)
 	if _, err := p.expect(pytoken.RParen); err != nil {
 		return nil, err
 	}
@@ -281,7 +318,7 @@ func (p *parser) parseBlock() ([]pyast.Stmt, error) {
 		if _, err := p.expect(pytoken.Indent); err != nil {
 			return nil, err
 		}
-		var out []pyast.Stmt
+		from := len(p.stmts)
 		for !p.at(pytoken.Dedent) && !p.at(pytoken.EOF) {
 			if p.accept(pytoken.Newline) {
 				continue
@@ -290,15 +327,15 @@ func (p *parser) parseBlock() ([]pyast.Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, s)
+			p.stmts = append(p.stmts, s)
 		}
 		if _, err := p.expect(pytoken.Dedent); err != nil {
 			return nil, err
 		}
-		if len(out) == 0 {
+		if len(p.stmts) == from {
 			return nil, p.errorf("empty block")
 		}
-		return out, nil
+		return pop(&p.stmts, from), nil
 	}
 	// Inline suite.
 	s, err := p.parseSimpleStatement()

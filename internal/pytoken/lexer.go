@@ -24,33 +24,70 @@ func Tokenize(src string) ([]Token, error) { return TokenizeAt(src, 1) }
 // TokenizeAt is Tokenize for a fragment of a larger file that begins at
 // column 1 of the given line: every position (of tokens and of errors)
 // is in the file's coordinates, so Tokenize(src) == TokenizeAt(src, 1).
+// It drains a Lexer.
 func TokenizeAt(src string, line int) ([]Token, error) {
-	l := &lexer{src: src, line: line, col: 1, indents: []int{0}}
-	if err := l.run(); err != nil {
-		return nil, err
+	l := NewLexer(src, line)
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
 	}
-	return l.toks, nil
 }
 
-type lexer struct {
+// Lexer tokenizes a source one token at a time, so a parser that looks
+// one token ahead never holds the whole stream.
+type Lexer struct {
 	src         string
 	off         int
 	line        int
 	col         int
 	indents     []int
-	depth       int // bracket nesting depth; >0 suppresses NEWLINE/INDENT
-	toks        []Token
+	depth       int     // bracket nesting depth; >0 suppresses NEWLINE/INDENT
+	pending     []Token // tokens lexed but not yet returned, from head on
+	head        int
+	last        Kind // kind of the last token lexed, 0 before the first
+	err         error
 	atLineStart bool
 }
 
-func (l *lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
+// NewLexer returns a lexer over src, which begins at column 1 of the
+// given line (see TokenizeAt).
+func NewLexer(src string, line int) *Lexer {
+	return &Lexer{src: src, line: line, col: 1, indents: []int{0}, atLineStart: true}
+}
 
-func (l *lexer) errorf(format string, args ...any) error {
+// Next returns the next token. After EOF it keeps returning EOF; after
+// an error it keeps returning that error.
+func (l *Lexer) Next() (Token, error) {
+	for l.head == len(l.pending) {
+		if l.err != nil {
+			return Token{}, l.err
+		}
+		if l.last == EOF {
+			return l.pending[l.head-1], nil
+		}
+		l.pending, l.head = l.pending[:0], 0
+		l.err = l.step()
+	}
+	l.head++
+	return l.pending[l.head-1], nil
+}
+
+func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
+
+func (l *Lexer) errorf(format string, args ...any) error {
 	return &Error{Pos: l.pos(), Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) emit(kind Kind, text string, pos Pos) {
-	l.toks = append(l.toks, Token{Kind: kind, Text: text, Pos: pos})
+func (l *Lexer) emit(kind Kind, text string, pos Pos) {
+	l.pending = append(l.pending, Token{Kind: kind, Text: text, Pos: pos})
+	l.last = kind
 }
 
 // nulMsg is the error for a NUL byte anywhere before the end of input.
@@ -58,8 +95,8 @@ const nulMsg = "source code cannot contain null bytes"
 
 // peek returns the next byte, or 0 at the end of input. A NUL byte
 // inside the source also peeks as 0, so wherever the lexer stops on a 0
-// it tells the two apart by the offset (run, endError).
-func (l *lexer) peek() byte {
+// it tells the two apart by the offset (step, endError).
+func (l *Lexer) peek() byte {
 	if l.off >= len(l.src) {
 		return 0
 	}
@@ -69,21 +106,21 @@ func (l *lexer) peek() byte {
 // endError is the error for a 0 from peek: a NUL byte inside the source
 // is an error at its own position, whatever it interrupts; at the real
 // end of input the error is msg at pos.
-func (l *lexer) endError(pos Pos, msg string) error {
+func (l *Lexer) endError(pos Pos, msg string) error {
 	if l.off < len(l.src) {
 		return l.errorf(nulMsg)
 	}
 	return &Error{Pos: pos, Msg: msg}
 }
 
-func (l *lexer) peekAt(n int) byte {
+func (l *Lexer) peekAt(n int) byte {
 	if l.off+n >= len(l.src) {
 		return 0
 	}
 	return l.src[l.off+n]
 }
 
-func (l *lexer) advance() byte {
+func (l *Lexer) advance() byte {
 	c := l.src[l.off]
 	l.off++
 	if c == '\n' {
@@ -95,76 +132,67 @@ func (l *lexer) advance() byte {
 	return c
 }
 
-func (l *lexer) run() error {
-	l.atLineStart = true
-	for {
-		if l.atLineStart && l.depth == 0 {
-			if err := l.handleIndentation(); err != nil {
-				return err
-			}
-			l.atLineStart = false
-			continue
-		}
-		c := l.peek()
-		switch {
-		case c == 0:
-			if l.off < len(l.src) {
-				return l.errorf(nulMsg)
-			}
-			// Close the final logical line and any open blocks.
-			if n := len(l.toks); n > 0 && l.toks[n-1].Kind != Newline && l.toks[n-1].Kind != Indent && l.toks[n-1].Kind != Dedent {
-				l.emit(Newline, "", l.pos())
-			}
-			for len(l.indents) > 1 {
-				l.indents = l.indents[:len(l.indents)-1]
-				l.emit(Dedent, "", l.pos())
-			}
-			l.emit(EOF, "", l.pos())
-			return nil
-		case c == '\n':
-			pos := l.pos() // report the newline at the end of its line
-			l.advance()
-			if l.depth == 0 {
-				if n := len(l.toks); n > 0 {
-					switch l.toks[n-1].Kind {
-					case Newline, Indent, Dedent:
-						// Blank line: no token.
-					default:
-						l.emit(Newline, "", pos)
-					}
-				}
-				l.atLineStart = true
-			}
-		case c == ' ' || c == '\t' || c == '\r':
-			l.advance()
-		case c == '#':
-			for l.peek() != '\n' && l.peek() != 0 {
-				l.advance()
-			}
-		case c == '\\' && (l.peekAt(1) == '\n' || l.peekAt(1) == '\r' && l.peekAt(2) == '\n'):
-			// Explicit line joining, after an LF or a CRLF line end.
-			for l.advance() != '\n' {
-			}
-		case c == '"' || c == '\'':
-			if err := l.lexString(); err != nil {
-				return err
-			}
-		case isDigit(c):
-			l.lexNumber()
-		case isNameStart(c):
-			l.lexName()
-		default:
-			if err := l.lexOperator(); err != nil {
-				return err
-			}
-		}
+// step lexes one unit at the current offset — the indentation of a
+// line, a token, a whitespace byte, a comment or a line join — and
+// emits the tokens it yields, if any.
+func (l *Lexer) step() error {
+	if l.atLineStart && l.depth == 0 {
+		l.atLineStart = false
+		return l.handleIndentation()
 	}
+	c := l.peek()
+	switch {
+	case c == 0:
+		if l.off < len(l.src) {
+			return l.errorf(nulMsg)
+		}
+		// Close the final logical line and any open blocks.
+		if l.last != 0 && l.last != Newline && l.last != Indent && l.last != Dedent {
+			l.emit(Newline, "", l.pos())
+		}
+		for len(l.indents) > 1 {
+			l.indents = l.indents[:len(l.indents)-1]
+			l.emit(Dedent, "", l.pos())
+		}
+		l.emit(EOF, "", l.pos())
+	case c == '\n':
+		pos := l.pos() // report the newline at the end of its line
+		l.advance()
+		if l.depth == 0 {
+			switch l.last {
+			case 0, Newline, Indent, Dedent:
+				// Blank line: no token.
+			default:
+				l.emit(Newline, "", pos)
+			}
+			l.atLineStart = true
+		}
+	case c == ' ' || c == '\t' || c == '\r':
+		l.advance()
+	case c == '#':
+		for l.peek() != '\n' && l.peek() != 0 {
+			l.advance()
+		}
+	case c == '\\' && (l.peekAt(1) == '\n' || l.peekAt(1) == '\r' && l.peekAt(2) == '\n'):
+		// Explicit line joining, after an LF or a CRLF line end.
+		for l.advance() != '\n' {
+		}
+	case c == '"' || c == '\'':
+		return l.lexString()
+	case isDigit(c):
+		l.lexNumber()
+	case isNameStart(c):
+		l.lexName()
+	default:
+		return l.lexOperator()
+	}
+	return nil
 }
 
 // handleIndentation measures the leading whitespace of the upcoming
 // logical line and emits INDENT/DEDENT tokens. Lines that turn out to be
 // blank or comment-only produce nothing.
-func (l *lexer) handleIndentation() error {
+func (l *Lexer) handleIndentation() error {
 	// Measure from the current offset without consuming non-whitespace.
 	width := 0
 	for {
@@ -185,7 +213,7 @@ func (l *lexer) handleIndentation() error {
 				l.advance()
 			}
 		case 0:
-			return nil // end of input or a NUL byte: run() tells them apart
+			return nil // end of input or a NUL byte: step tells them apart
 		default:
 			goto measured
 		}
@@ -208,7 +236,7 @@ measured:
 	return nil
 }
 
-func (l *lexer) lexString() error {
+func (l *Lexer) lexString() error {
 	pos := l.pos()
 	quote := l.advance()
 	var b strings.Builder
@@ -258,7 +286,7 @@ func (l *lexer) lexString() error {
 	}
 }
 
-func (l *lexer) lexNumber() {
+func (l *Lexer) lexNumber() {
 	pos := l.pos()
 	start := l.off
 	for isDigit(l.peek()) || l.peek() == '_' {
@@ -283,7 +311,7 @@ func (l *lexer) lexNumber() {
 	l.emit(Number, l.src[start:l.off], pos)
 }
 
-func (l *lexer) lexName() {
+func (l *Lexer) lexName() {
 	pos := l.pos()
 	start := l.off
 	for isNamePart(l.peek()) {
@@ -297,71 +325,41 @@ func (l *lexer) lexName() {
 	l.emit(Name, text, pos)
 }
 
-func (l *lexer) lexOperator() error {
+// operators lists every operator and delimiter, two-byte ones first so
+// the longest match wins.
+var operators = []struct {
+	text string
+	kind Kind
+}{
+	{"==", Eq}, {"!=", NotEq}, {"<=", LtEq}, {">=", GtEq}, {"->", Arrow},
+	{"(", LParen}, {")", RParen}, {"[", LBracket}, {"]", RBracket},
+	{"{", LBrace}, {"}", RBrace}, {":", Colon}, {",", Comma}, {".", Dot},
+	{"@", At}, {"=", Assign}, {"+", Plus}, {"-", Minus}, {"*", StarTok},
+	{"/", Slash}, {"%", Percent}, {"<", Lt}, {">", Gt},
+}
+
+func (l *Lexer) lexOperator() error {
 	pos := l.pos()
-	c := l.advance()
-	two := func(next byte, k2 Kind, k1 Kind) {
-		if l.peek() == next {
-			l.advance()
-			l.emit(k2, "", pos)
-			return
+	for _, op := range operators {
+		if l.src[l.off] != op.text[0] || !strings.HasPrefix(l.src[l.off:], op.text) {
+			continue
 		}
-		l.emit(k1, "", pos)
+		for range op.text {
+			l.advance()
+		}
+		switch op.kind {
+		case LParen, LBracket, LBrace:
+			l.depth++
+		case RParen, RBracket, RBrace:
+			l.depth--
+		}
+		l.emit(op.kind, "", pos)
+		return nil
 	}
-	switch c {
-	case '(':
-		l.depth++
-		l.emit(LParen, "", pos)
-	case ')':
-		l.depth--
-		l.emit(RParen, "", pos)
-	case '[':
-		l.depth++
-		l.emit(LBracket, "", pos)
-	case ']':
-		l.depth--
-		l.emit(RBracket, "", pos)
-	case '{':
-		l.depth++
-		l.emit(LBrace, "", pos)
-	case '}':
-		l.depth--
-		l.emit(RBrace, "", pos)
-	case ':':
-		l.emit(Colon, "", pos)
-	case ',':
-		l.emit(Comma, "", pos)
-	case '.':
-		l.emit(Dot, "", pos)
-	case '@':
-		l.emit(At, "", pos)
-	case '=':
-		two('=', Eq, Assign)
-	case '+':
-		l.emit(Plus, "", pos)
-	case '-':
-		two('>', Arrow, Minus)
-	case '*':
-		l.emit(StarTok, "", pos)
-	case '/':
-		l.emit(Slash, "", pos)
-	case '%':
-		l.emit(Percent, "", pos)
-	case '<':
-		two('=', LtEq, Lt)
-	case '>':
-		two('=', GtEq, Gt)
-	case '!':
-		if l.peek() == '=' {
-			l.advance()
-			l.emit(NotEq, "", pos)
-			return nil
-		}
-		return &Error{Pos: pos, Msg: "unexpected character '!'"}
-	default:
+	if c := l.src[l.off]; c != '!' {
 		return &Error{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", string(c))}
 	}
-	return nil
+	return &Error{Pos: pos, Msg: "unexpected character '!'"}
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

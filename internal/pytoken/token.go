@@ -76,60 +76,25 @@ const (
 	GtEq     // >=
 )
 
+// kindNames holds the diagnostic name of every kind; init adds the
+// quoted spelling of each keyword and operator.
 var kindNames = map[Kind]string{
-	EOF:        "end of file",
-	Newline:    "newline",
-	Indent:     "indent",
-	Dedent:     "dedent",
-	Name:       "name",
-	Number:     "number",
-	String:     "string",
-	KwClass:    "'class'",
-	KwDef:      "'def'",
-	KwIf:       "'if'",
-	KwElif:     "'elif'",
-	KwElse:     "'else'",
-	KwMatch:    "'match'",
-	KwCase:     "'case'",
-	KwFor:      "'for'",
-	KwWhile:    "'while'",
-	KwReturn:   "'return'",
-	KwPass:     "'pass'",
-	KwBreak:    "'break'",
-	KwContinue: "'continue'",
-	KwIn:       "'in'",
-	KwNot:      "'not'",
-	KwAnd:      "'and'",
-	KwOr:       "'or'",
-	KwTrue:     "'True'",
-	KwFalse:    "'False'",
-	KwNone:     "'None'",
-	KwImport:   "'import'",
-	KwFrom:     "'from'",
-	KwAs:       "'as'",
-	LParen:     "'('",
-	RParen:     "')'",
-	LBracket:   "'['",
-	RBracket:   "']'",
-	LBrace:     "'{'",
-	RBrace:     "'}'",
-	Colon:      "':'",
-	Comma:      "','",
-	Dot:        "'.'",
-	At:         "'@'",
-	Assign:     "'='",
-	Arrow:      "'->'",
-	Plus:       "'+'",
-	Minus:      "'-'",
-	StarTok:    "'*'",
-	Slash:      "'/'",
-	Percent:    "'%'",
-	Eq:         "'=='",
-	NotEq:      "'!='",
-	Lt:         "'<'",
-	Gt:         "'>'",
-	LtEq:       "'<='",
-	GtEq:       "'>='",
+	EOF:     "end of file",
+	Newline: "newline",
+	Indent:  "indent",
+	Dedent:  "dedent",
+	Name:    "name",
+	Number:  "number",
+	String:  "string",
+}
+
+func init() {
+	for text, k := range keywords {
+		kindNames[k] = "'" + text + "'"
+	}
+	for _, op := range operators {
+		kindNames[op.kind] = "'" + op.text + "'"
+	}
 }
 
 // String returns a human-readable description of the kind, used in

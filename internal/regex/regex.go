@@ -16,8 +16,10 @@
 package regex
 
 import (
+	"bytes"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Regex is a node of a regular expression over string-labelled symbols.
@@ -32,9 +34,10 @@ type Regex interface {
 	// precedence is used by String for minimal parenthesization.
 	precedence() int
 
-	// key returns a canonical encoding used for hashing and ordering.
-	// Two structurally equal expressions have equal keys.
-	key() string
+	// appendKey appends the canonical encoding used for hashing and
+	// ordering (Key) to b. Two structurally equal expressions have
+	// equal keys.
+	appendKey(b []byte) []byte
 }
 
 // The concrete node kinds. They are exported so that callers (e.g. the
@@ -103,7 +106,9 @@ func Symbols(names ...string) Regex {
 //
 // Concat() is ε and Concat(r) is r.
 func Concat(rs ...Regex) Regex {
-	parts := make([]Regex, 0, len(rs))
+	// Count the factors first, so the product allocates only when it
+	// has two or more, and then exactly once.
+	n := 0
 	for _, r := range rs {
 		switch r := r.(type) {
 		case EmptySet:
@@ -111,16 +116,36 @@ func Concat(rs ...Regex) Regex {
 		case EmptyString:
 			// identity: drop.
 		case Cat:
+			n += len(r.Parts)
+		default:
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return emptyString
+	case 1:
+		for _, r := range rs {
+			switch r := r.(type) {
+			case EmptyString:
+			case Cat:
+				if len(r.Parts) == 1 {
+					return r.Parts[0]
+				}
+			default:
+				return r
+			}
+		}
+	}
+	parts := make([]Regex, 0, n)
+	for _, r := range rs {
+		switch r := r.(type) {
+		case EmptyString:
+		case Cat:
 			parts = append(parts, r.Parts...)
 		default:
 			parts = append(parts, r)
 		}
-	}
-	switch len(parts) {
-	case 0:
-		return emptyString
-	case 1:
-		return parts[0]
 	}
 	return Cat{Parts: parts}
 }
@@ -137,6 +162,7 @@ func Concat(rs ...Regex) Regex {
 func Union(rs ...Regex) Regex {
 	seen := make(map[string]struct{}, len(rs))
 	parts := make([]Regex, 0, len(rs))
+	keys := make([]string, 0, len(rs)) // keys[i] is the key of parts[i]
 	var add func(r Regex)
 	add = func(r Regex) {
 		switch r := r.(type) {
@@ -147,12 +173,13 @@ func Union(rs ...Regex) Regex {
 				add(p)
 			}
 		default:
-			k := r.key()
+			k := Key(r)
 			if _, dup := seen[k]; dup {
 				return
 			}
 			seen[k] = struct{}{}
 			parts = append(parts, r)
+			keys = append(keys, k)
 		}
 	}
 	for _, r := range rs {
@@ -164,7 +191,7 @@ func Union(rs ...Regex) Regex {
 	case 1:
 		return parts[0]
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].key() < parts[j].key() })
+	sort.Sort(byKey{parts, keys})
 	return Alt{Parts: parts}
 }
 
@@ -188,7 +215,14 @@ func Plus(r Regex) Regex { return Concat(r, Star(r)) }
 // Equal reports whether a and b are structurally equal (after the smart
 // constructors' normalization). It does NOT decide language equality;
 // use Equivalent for that.
-func Equal(a, b Regex) bool { return a.key() == b.key() }
+func Equal(a, b Regex) bool {
+	ka, kb := keyBufs.Get().(*[]byte), keyBufs.Get().(*[]byte)
+	*ka, *kb = a.appendKey((*ka)[:0]), b.appendKey((*kb)[:0])
+	eq := bytes.Equal(*ka, *kb)
+	keyBufs.Put(ka)
+	keyBufs.Put(kb)
+	return eq
+}
 
 // precedence levels: union < concat < star/atom.
 const (
@@ -261,38 +295,52 @@ func needsAtomParens(child Regex, parent int) bool {
 	return false
 }
 
-func (EmptySet) key() string    { return "\x00" }
-func (EmptyString) key() string { return "\x01" }
-func (s Sym) key() string       { return "\x02" + s.Name }
-
-func (c Cat) key() string {
-	var b strings.Builder
-	b.WriteString("\x03(")
-	for _, p := range c.Parts {
-		b.WriteString(p.key())
-		b.WriteString(",")
-	}
-	b.WriteString(")")
-	return b.String()
+func (EmptySet) appendKey(b []byte) []byte    { return append(b, 0) }
+func (EmptyString) appendKey(b []byte) []byte { return append(b, 1) }
+func (s Sym) appendKey(b []byte) []byte       { return append(append(b, 2), s.Name...) }
+func (c Cat) appendKey(b []byte) []byte       { return appendParts(append(b, 3, '('), c.Parts) }
+func (a Alt) appendKey(b []byte) []byte       { return appendParts(append(b, 4, '('), a.Parts) }
+func (r Rep) appendKey(b []byte) []byte {
+	return append(r.Inner.appendKey(append(b, 5, '(')), ')')
 }
 
-func (a Alt) key() string {
-	var b strings.Builder
-	b.WriteString("\x04(")
-	for _, p := range a.Parts {
-		b.WriteString(p.key())
-		b.WriteString(",")
+func appendParts(b []byte, parts []Regex) []byte {
+	for _, p := range parts {
+		b = append(p.appendKey(b), ',')
 	}
-	b.WriteString(")")
-	return b.String()
+	return append(b, ')')
 }
 
-func (r Rep) key() string { return "\x05(" + r.Inner.key() + ")" }
+// keyBufs pools the buffers keys render into, so a key costs one
+// allocation (the string) and a comparison none.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Key exposes the canonical structural encoding of r. It is stable within
 // a process and suitable for use as a map key. Two expressions have the
 // same Key exactly when Equal reports true.
-func Key(r Regex) string { return r.key() }
+func Key(r Regex) string {
+	if s, ok := r.(Sym); ok {
+		return "\x02" + s.Name
+	}
+	bp := keyBufs.Get().(*[]byte)
+	*bp = r.appendKey((*bp)[:0])
+	k := string(*bp)
+	keyBufs.Put(bp)
+	return k
+}
+
+// byKey sorts distinct expressions by their keys.
+type byKey struct {
+	parts []Regex
+	keys  []string
+}
+
+func (s byKey) Len() int           { return len(s.parts) }
+func (s byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.parts[i], s.parts[j] = s.parts[j], s.parts[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
 
 // Size returns the number of nodes in the expression tree. It is used by
 // tests and benchmarks to report the growth of inferred behaviors.

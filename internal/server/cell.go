@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 
 	shelley "github.com/shelley-go/shelley"
@@ -153,7 +152,7 @@ func (mc *moduleCache) get(ctx context.Context, fp, source string) (e *moduleEnt
 	mc.mu.Unlock()
 
 	mc.met.moduleMisses.Add(1)
-	e.mod, e.err = mc.cache.Load(ctx, shortFP(fp), strings.NewReader(source))
+	e.mod, e.err = mc.cache.LoadSource(ctx, shortFP(fp), source)
 	close(e.ready)
 	if e.err != nil {
 		mc.mu.Lock()

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	runtimemetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -178,10 +179,45 @@ type metrics struct {
 	// rate.
 	incrementalReused  atomic.Uint64
 	incrementalChecked atomic.Uint64
+
+	// goStats reads the Go runtime's allocation and GC counters; tests
+	// swap in fixed values.
+	goStats func() goRuntimeStats
 }
 
 func newMetrics() *metrics {
-	return &metrics{eps: make(map[string]*endpointMetrics)}
+	return &metrics{eps: make(map[string]*endpointMetrics), goStats: readGoRuntimeStats}
+}
+
+// goRuntimeStats are the Go runtime's cumulative allocation and GC
+// counters, which tell what a request costs the allocator and the
+// collector.
+type goRuntimeStats struct {
+	allocBytes, allocObjects, gcCycles uint64
+	gcCPUSeconds                       float64
+}
+
+// goRuntimeMetrics names the runtime/metrics samples behind
+// goRuntimeStats, in field order.
+var goRuntimeMetrics = [...]string{
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+	"/gc/cycles/total:gc-cycles",
+	"/cpu/classes/gc/total:cpu-seconds",
+}
+
+func readGoRuntimeStats() goRuntimeStats {
+	var samples [len(goRuntimeMetrics)]runtimemetrics.Sample
+	for i, name := range goRuntimeMetrics {
+		samples[i].Name = name
+	}
+	runtimemetrics.Read(samples[:])
+	return goRuntimeStats{
+		allocBytes:   samples[0].Value.Uint64(),
+		allocObjects: samples[1].Value.Uint64(),
+		gcCycles:     samples[2].Value.Uint64(),
+		gcCPUSeconds: samples[3].Value.Float64(),
+	}
 }
 
 // endpoint registers (or returns) the per-endpoint counters. Handlers
@@ -327,6 +363,14 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 	gauge("shelleyd_queue_depth", "Jobs waiting for a worker.", m.queueDepth.Load())
 	gauge("shelleyd_workers_busy", "Workers currently executing a job.", m.workersBusy.Load())
 	gauge("shelleyd_inflight_requests", "Requests currently inside a handler.", m.inflight.Load())
+
+	gs := m.goStats()
+	counter("shelleyd_go_alloc_bytes_total", "Bytes the daemon allocated on the heap (runtime/metrics /gc/heap/allocs:bytes).", gs.allocBytes)
+	counter("shelleyd_go_allocs_total", "Heap objects the daemon allocated (runtime/metrics /gc/heap/allocs:objects).", gs.allocObjects)
+	counter("shelleyd_go_gc_cycles_total", "Completed garbage-collection cycles (runtime/metrics /gc/cycles/total:gc-cycles).", gs.gcCycles)
+	fams = append(fams, metricFamily{name: "shelleyd_go_gc_cpu_seconds_total", kind: "counter",
+		help:    "Estimated CPU time spent in garbage collection (runtime/metrics /cpu/classes/gc/total:cpu-seconds).",
+		samples: []metricSample{{value: gs.gcCPUSeconds}}})
 
 	if st != nil {
 		ss := st.Stats()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +61,9 @@ func goldenMetrics() (*metrics, pipeline.Stats, *mineSnapshot) {
 	m.inflight.Store(1)
 	m.ingestRejected.Store(2)
 	m.ingestInflightEvents.Store(8)
+	m.goStats = func() goRuntimeStats {
+		return goRuntimeStats{allocBytes: 1 << 20, allocObjects: 4096, gcCycles: 3, gcCPUSeconds: 0.25}
+	}
 
 	ps := (*pipeline.Cache)(nil).Stats() // all stage names, zero counts
 	ps.Stages[0].Hits = 11
@@ -355,5 +359,23 @@ func TestPipelineStageCountersMonotonic(t *testing.T) {
 	reportMisses := `shelleyd_pipeline_stage_total{stage="report",kind="misses"}`
 	if afterWatch[reportMisses] <= afterB[reportMisses] {
 		t.Errorf("a watch push left %s at %v: session work is invisible", reportMisses, afterWatch[reportMisses])
+	}
+}
+
+// TestGoRuntimeStatsAdvance: the runtime counters behind the
+// shelleyd_go_* families are live and cumulative.
+func TestGoRuntimeStatsAdvance(t *testing.T) {
+	before := readGoRuntimeStats()
+	sink := make([][]byte, 0, 64)
+	for i := 0; i < 64; i++ {
+		sink = append(sink, make([]byte, 1024))
+	}
+	runtime.GC()
+	after := readGoRuntimeStats()
+	if len(sink) != 64 || after.allocBytes < before.allocBytes+64*1024 || after.allocObjects < before.allocObjects+64 {
+		t.Fatalf("allocation counters did not advance: %+v -> %+v", before, after)
+	}
+	if after.gcCycles <= before.gcCycles || after.gcCPUSeconds < before.gcCPUSeconds {
+		t.Fatalf("GC counters did not advance: %+v -> %+v", before, after)
 	}
 }

@@ -34,6 +34,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1140,13 +1141,45 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, b.String())
 }
 
-// decodeBody reads a JSON request bounded by maxBytes.
+// bodyBufs pools request-body buffers. A buffer that grew past
+// maxPooledBody is dropped after use, so the pool pins no huge body.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// decodeBody reads a JSON request bounded by maxBytes into a pooled
+// buffer and decodes it. It accepts exactly what json.Decoder.Decode
+// accepts from the bounded body: the first JSON value, whatever
+// follows it. A body that is one value is decoded in place; any other
+// is decoded again as the decoder would read it, the read error (a body
+// over maxBytes) arriving after the bytes read.
 func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	if err := dec.Decode(v); err != nil {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyBufs.Put(buf)
+		}
+	}()
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes))
+	if json.Unmarshal(buf.Bytes(), v) == nil {
+		return nil
+	}
+	rest := io.MultiReader(bytes.NewReader(buf.Bytes()), errReader{readErr})
+	if err := json.NewDecoder(rest).Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
 	return nil
+}
+
+// errReader returns err, or io.EOF when err is nil.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) {
+	if e.err == nil {
+		return 0, io.EOF
+	}
+	return 0, e.err
 }
 
 // jsonBody marshals a pooled-work response.

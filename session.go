@@ -145,7 +145,7 @@ func (s *Session) updateLocked(ctx context.Context, name string, source []byte) 
 	if prev == nil {
 		prev = classBlocks{}
 	}
-	mod, blocks, err := s.cache.load(ctx, name, source, prev)
+	mod, blocks, err := s.cache.load(ctx, name, source, "", prev)
 	if err != nil {
 		return nil, Diff{}, err
 	}

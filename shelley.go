@@ -161,9 +161,8 @@ func (c *Cache) Stats() PipelineStats { return c.pc.Stats() }
 // LoadReader parses and models every class of a MicroPython source
 // read from r. name labels the source in error messages (a file path,
 // a request id, ...); an empty name leaves errors unlabeled. It is the
-// streaming entry point used by servers that receive source in request
-// bodies and never touch the filesystem; LoadSource and LoadFile
-// delegate to it.
+// streaming entry point for sources that never touch the filesystem;
+// LoadFile delegates to it, and LoadSource skips the read.
 func LoadReader(name string, r io.Reader) (*Module, error) {
 	return LoadReaderContext(context.Background(), name, r)
 }
@@ -179,23 +178,29 @@ func LoadReaderContext(ctx context.Context, name string, r io.Reader) (*Module, 
 
 // Load is LoadReaderContext with the module bound to c.
 func (c *Cache) Load(ctx context.Context, name string, r io.Reader) (*Module, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
 		return nil, loadErr(name, err)
 	}
-	m, _, err := c.load(ctx, name, b, nil)
+	return c.LoadSource(ctx, name, b.String())
+}
+
+// LoadSource is Load over a source already in memory, which the module
+// parses in place, without a copy.
+func (c *Cache) LoadSource(ctx context.Context, name, src string) (*Module, error) {
+	m, _, err := c.load(ctx, name, nil, src, nil)
 	return m, err
 }
 
-// load parses and models src into a module bound to c, inside a
-// "load.module" span. A session passes prev, the class blocks of its
-// resident generation (empty, not nil, on its first update): when src
-// cuts into class blocks, the module is then built block by block,
-// reusing every block of prev with the same start line and bytes, and
-// the new generation's blocks are returned. Otherwise the whole source
-// is parsed at once, so errors and their positions are those of
-// ParseModule.
-func (c *Cache) load(ctx context.Context, name string, src []byte, prev classBlocks) (_ *Module, _ classBlocks, err error) {
+// load parses and models a source into a module bound to c, inside a
+// "load.module" span. A session passes its source as bytes in src and
+// prev, the class blocks of its resident generation (empty, not nil, on
+// its first update): when src cuts into class blocks, the module is
+// then built block by block, reusing every block of prev with the same
+// start line and bytes, and the new generation's blocks are returned.
+// Otherwise the whole source (text, or a copy of src) is parsed at
+// once, so errors and their positions are those of ParseModule.
+func (c *Cache) load(ctx context.Context, name string, src []byte, text string, prev classBlocks) (_ *Module, _ classBlocks, err error) {
 	_, span := obs.Start(ctx, "load.module", obs.String("source", name))
 	defer func() {
 		if err != nil {
@@ -209,7 +214,10 @@ func (c *Cache) load(ctx context.Context, name string, src []byte, prev classBlo
 			return m, blocks, nil
 		}
 	}
-	ast, err := pyparse.ParseModule(string(src))
+	if src != nil {
+		text = string(src)
+	}
+	ast, err := pyparse.ParseModule(text)
 	if err != nil {
 		return nil, nil, loadErr(name, err)
 	}
@@ -247,7 +255,7 @@ func loadErr(name string, err error) error {
 // LoadSource parses and models every class of a MicroPython source
 // string.
 func LoadSource(src string) (*Module, error) {
-	return LoadReader("", strings.NewReader(src))
+	return NewCache().LoadSource(context.Background(), "", src)
 }
 
 // LoadFile is LoadReader over a file's contents.
@@ -465,9 +473,16 @@ func (c *Class) NewSystem(opts ...interp.Option) (*System, error) {
 }
 
 // UsageViolations enumerates up to max distinct invalid complete usages
-// per subsystem, shortest first.
+// per subsystem, shortest first, without a budget.
 func (c *Class) UsageViolations(max int, opts ...check.Option) ([]Violation, error) {
-	return check.UsageViolations(c.model, c.module.registry, max, c.withModuleCache(opts)...)
+	return c.UsageViolationsContext(context.Background(), max, opts...)
+}
+
+// UsageViolationsContext is UsageViolations under ctx's resource budget
+// (WithBudget) and cancellation, like CheckContext: a pathological
+// class stops with ErrBudgetExceeded or ErrCanceled.
+func (c *Class) UsageViolationsContext(ctx context.Context, max int, opts ...check.Option) ([]Violation, error) {
+	return check.UsageViolationsContext(ctx, c.model, c.module.registry, max, c.withModuleCache(opts)...)
 }
 
 // ReplayFlat drives the class's subsystem instances directly with a
