@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -61,8 +62,8 @@ func run(args []string, out io.Writer) (int, error) {
 		subject = "flattened behavior"
 	}
 
-	added, addedAny := automata.Difference(newDFA, oldDFA).ShortestAccepted()
-	removed, removedAny := automata.Difference(oldDFA, newDFA).ShortestAccepted()
+	added, addedAny, _ := automata.ShortestDifference(context.Background(), newDFA, oldDFA)
+	removed, removedAny, _ := automata.ShortestDifference(context.Background(), oldDFA, newDFA)
 	if !addedAny && !removedAny {
 		fmt.Fprintf(out, "class %s: %s UNCHANGED\n", *className, subject)
 		return 0, nil

@@ -209,37 +209,14 @@ func (d *DFA) IsEmpty() bool {
 // ShortestAccepted returns a shortest accepted trace and true, or nil and
 // false when the language is empty. Among shortest traces it returns the
 // one over the lexicographically least symbols (the alphabet is sorted
-// and BFS expands in alphabet order), making counterexample output
-// deterministic — the property §2.2's error messages rely on.
+// and the search expands in alphabet order), making counterexample
+// output deterministic — the property §2.2's error messages rely on.
 func (d *DFA) ShortestAccepted() ([]string, bool) {
-	type node struct {
-		state int
-		trace []string
+	w, _ := d.Search(d.start, Side{Start: -1}, func(a, _ bool) bool { return a }, 1, nil)
+	if len(w) == 0 {
+		return nil, false
 	}
-	visited := make([]bool, d.NumStates())
-	visited[d.start] = true
-	frontier := []node{{state: d.start}}
-	for len(frontier) > 0 {
-		var next []node
-		for _, n := range frontier {
-			if d.accept[n.state] {
-				return n.trace, true
-			}
-			for si, sym := range d.alphabet {
-				t := d.row(n.state)[si]
-				if t < 0 || visited[t] {
-					continue
-				}
-				visited[t] = true
-				trace := make([]string, len(n.trace)+1)
-				copy(trace, n.trace)
-				trace[len(n.trace)] = sym
-				next = append(next, node{state: t, trace: trace})
-			}
-		}
-		frontier = next
-	}
-	return nil, false
+	return w[0], true
 }
 
 // Reachable returns an equivalent DFA with unreachable states removed

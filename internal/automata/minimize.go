@@ -243,61 +243,3 @@ func zeroed[T int | bool](s []T, n int) []T {
 	clear(s)
 	return s
 }
-
-// trimDead removes states from which no accepting state is reachable,
-// replacing their transitions with the implicit dead sink (-1).
-func trimDead(d *DFA) *DFA {
-	n := d.NumStates()
-	// Reverse reachability from accepting states.
-	radj := make([][]int, n)
-	for s := 0; s < n; s++ {
-		for _, t := range d.row(s) {
-			if t >= 0 {
-				radj[t] = append(radj[t], s)
-			}
-		}
-	}
-	live := make([]bool, n)
-	var stack []int
-	for s := 0; s < n; s++ {
-		if d.accept[s] {
-			live[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range radj[s] {
-			if !live[p] {
-				live[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-
-	out := newDFA(d.alphabet)
-	out.reserve(n - 1)
-	remap := make([]int, n)
-	for i := range remap {
-		remap[i] = -1
-	}
-	out.SetAccepting(out.Start(), d.accept[d.start])
-	remap[d.start] = out.Start()
-	queue := []int{d.start}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for si, t := range d.row(s) {
-			if t < 0 || !live[t] {
-				continue
-			}
-			if remap[t] < 0 {
-				remap[t] = out.AddState(d.accept[t])
-				queue = append(queue, t)
-			}
-			out.setTransition(remap[s], si, remap[t])
-		}
-	}
-	return out
-}

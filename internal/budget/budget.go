@@ -128,7 +128,9 @@ type Err struct {
 	Resource string
 
 	// Op names the construction that tripped, e.g. "determinize",
-	// "product", "to-regex", "ltlf-compile", "claim-search".
+	// "to-regex", "ltlf-compile", the check's product searches
+	// "usage-search", "usage-violations" and "claim-search", or
+	// "product" for a drift or equivalence search.
 	Op string
 
 	// Limit is the configured bound that was exceeded.

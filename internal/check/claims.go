@@ -59,61 +59,14 @@ func checkClaims(cfg config, c *model.Class, reg Registry, report *Report) error
 		if err != nil {
 			return err
 		}
-		// Shortest complete trace that violates the claim. The product
-		// BFS runs under cfg.ctx's MaxSearchNodes budget and observes
-		// cancellation.
-		gate := budget.SearchGate(cfg.ctx, "claim-search")
-		type pair struct{ f, v int }
-		type node struct {
-			at    pair
-			trace []string
+		ws, err := claimViolation(cfg, flatDFA, violations)
+		if err != nil {
+			return err
 		}
-		start := pair{f: flatDFA.Start(), v: violations.Start()}
-		visited := map[pair]struct{}{start: {}}
-		frontier := []node{{at: start}}
-		var witness []string
-		found := false
-		for len(frontier) > 0 && !found {
-			var next []node
-			for _, n := range frontier {
-				if err := gate.Tick(); err != nil {
-					return err
-				}
-				if flatDFA.Accepting(n.at.f) && n.at.v >= 0 && violations.Accepting(n.at.v) {
-					witness = n.trace
-					found = true
-					break
-				}
-				for _, sym := range flatDFA.Alphabet() {
-					ft := flatDFA.Target(n.at.f, sym)
-					if ft < 0 {
-						continue
-					}
-					vt := -1
-					if n.at.v >= 0 {
-						vt = violations.Target(n.at.v, sym)
-					}
-					if vt < 0 {
-						// The violation automaton died: no extension of
-						// this trace can violate the claim.
-						continue
-					}
-					np := pair{f: ft, v: vt}
-					if _, seen := visited[np]; seen {
-						continue
-					}
-					visited[np] = struct{}{}
-					trace := make([]string, len(n.trace)+1)
-					copy(trace, n.trace)
-					trace[len(n.trace)] = sym
-					next = append(next, node{at: np, trace: trace})
-				}
-			}
-			frontier = next
-		}
-		if !found {
+		if len(ws) == 0 {
 			continue
 		}
+		witness := ws[0]
 		report.Diagnostics = append(report.Diagnostics, Diagnostic{
 			Kind:           KindClaimFailure,
 			Counterexample: witness,
@@ -124,4 +77,12 @@ func checkClaims(cfg config, c *model.Class, reg Registry, report *Report) error
 		})
 	}
 	return nil
+}
+
+// claimViolation returns the shortest complete trace of flat that the
+// violation automaton accepts, if there is one. The search runs under
+// cfg.ctx's MaxSearchNodes budget and observes cancellation.
+func claimViolation(cfg config, flat, violations *automataDFA) ([][]string, error) {
+	return flat.Search(flat.Start(), violations.Over(flat.Alphabet(), false),
+		func(f, v bool) bool { return f && v }, 1, budget.SearchGate(cfg.ctx, "claim-search"))
 }

@@ -2,10 +2,10 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/shelley-go/shelley/internal/automata"
-	"github.com/shelley-go/shelley/internal/budget"
 	"github.com/shelley-go/shelley/internal/model"
 )
 
@@ -27,18 +27,12 @@ func checkUsage(cfg config, c *model.Class, reg Registry, subs map[string]*model
 	// Specification DFA per subsystem, qualified and completed over its
 	// own alphabet.
 	specs := make(map[string]*automata.DFA, len(subs))
-	specAlphabet := make(map[string]map[string]struct{}, len(subs))
 	for _, name := range c.SubsystemNames {
 		spec, err := cfg.specDFA(subs[name], name)
 		if err != nil {
 			return err
 		}
 		specs[name] = spec
-		set := make(map[string]struct{})
-		for _, sym := range spec.Alphabet() {
-			set[sym] = struct{}{}
-		}
-		specAlphabet[name] = set
 	}
 
 	// Find, per subsystem, the shortest complete flattened trace whose
@@ -47,15 +41,12 @@ func checkUsage(cfg config, c *model.Class, reg Registry, subs map[string]*model
 	var best []string
 	found := false
 	for _, name := range c.SubsystemNames {
-		w, ok, err := shortestBadUsage(cfg, flatDFA, specs[name], specAlphabet[name])
+		ws, err := badUsages(cfg, "usage-search", flatDFA, specs[name], 1)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			continue
-		}
-		if !found || len(w) < len(best) {
-			best = w
+		if len(ws) > 0 && (!found || len(ws[0]) < len(best)) {
+			best = ws[0]
 			found = true
 		}
 	}
@@ -80,7 +71,7 @@ func checkUsage(cfg config, c *model.Class, reg Registry, subs map[string]*model
 	// Per-subsystem error lines for this trace.
 	var lines []string
 	for _, name := range c.SubsystemNames {
-		line, bad := subsystemErrorLine(c, name, specs[name], specAlphabet[name], best)
+		line, bad := subsystemErrorLine(c, name, specs[name], best)
 		if bad {
 			lines = append(lines, line)
 		}
@@ -96,72 +87,17 @@ func checkUsage(cfg config, c *model.Class, reg Registry, subs map[string]*model
 	return nil
 }
 
-// shortestBadUsage searches the product of the flattened-behavior DFA
-// and one subsystem's specification for the shortest complete usage
-// whose projection the spec rejects. The spec only steps on its own
-// symbols; other symbols leave it in place. Spec state -2 means the
-// projection already died. The product BFS runs under cfg.ctx's
-// MaxSearchNodes budget and observes cancellation.
-func shortestBadUsage(cfg config, flat, spec *automata.DFA, specSyms map[string]struct{}) ([]string, bool, error) {
-	gate := budget.SearchGate(cfg.ctx, "usage-search")
-	type pair struct{ f, s int }
-	type node struct {
-		at    pair
-		trace []string
-	}
-	start := pair{f: flat.Start(), s: spec.Start()}
-	visited := map[pair]struct{}{start: {}}
-	frontier := []node{{at: start}}
-	for len(frontier) > 0 {
-		var next []node
-		for _, n := range frontier {
-			if err := gate.Tick(); err != nil {
-				return nil, false, err
-			}
-			if flat.Accepting(n.at.f) && (n.at.s < 0 || !spec.Accepting(n.at.s)) {
-				return n.trace, true, nil
-			}
-			for _, sym := range flat.Alphabet() {
-				ft := flat.Target(n.at.f, sym)
-				if ft < 0 {
-					continue
-				}
-				st := n.at.s
-				if _, mine := specSyms[sym]; mine {
-					if st >= 0 {
-						st = spec.Target(st, sym)
-					}
-					if st < 0 {
-						st = -2 // dead: projection invalid from here on
-					}
-				}
-				np := pair{f: ft, s: st}
-				if _, seen := visited[np]; seen {
-					continue
-				}
-				visited[np] = struct{}{}
-				trace := make([]string, len(n.trace)+1)
-				copy(trace, n.trace)
-				trace[len(n.trace)] = sym
-				next = append(next, node{at: np, trace: trace})
-			}
-		}
-		frontier = next
-	}
-	return nil, false, nil
-}
-
 // subsystemErrorLine renders one "  * Valve 'a': test, >open< (not
 // final)" line by replaying the projection of the trace on the
 // subsystem's spec. The second result reports whether the subsystem's
 // usage in the trace is actually invalid.
-func subsystemErrorLine(c *model.Class, name string, spec *automata.DFA, specSyms map[string]struct{}, trace []string) (string, bool) {
+func subsystemErrorLine(c *model.Class, name string, spec *automata.DFA, trace []string) (string, bool) {
 	prefix := name + "."
 	var shown []string
 	state := spec.Start()
 	bad := false
 	for _, sym := range trace {
-		if _, mine := specSyms[sym]; !mine {
+		if _, mine := slices.BinarySearch(spec.Alphabet(), sym); !mine {
 			continue
 		}
 		unqualified := strings.TrimPrefix(sym, prefix)

@@ -53,11 +53,7 @@ func UsageViolationsContext(ctx context.Context, c *model.Class, reg Registry, m
 		if err != nil {
 			return nil, err
 		}
-		specSyms := make(map[string]struct{})
-		for _, sym := range spec.Alphabet() {
-			specSyms[sym] = struct{}{}
-		}
-		traces, err := badUsages(cfg, flatDFA, spec, specSyms, max)
+		traces, err := badUsages(cfg, "usage-violations", flatDFA, spec, max)
 		if err != nil {
 			return nil, err
 		}
@@ -68,60 +64,12 @@ func UsageViolationsContext(ctx context.Context, c *model.Class, reg Registry, m
 	return out, nil
 }
 
-// badUsages collects up to max violating complete usages for one
-// subsystem. Unlike shortestBadUsage it keeps searching after the first
-// hit, but still visits each product state once, so each reported trace
-// reaches a distinct violating configuration. The search runs under
-// cfg.ctx's MaxSearchNodes budget and observes cancellation.
-func badUsages(cfg config, flat, spec *automata.DFA, specSyms map[string]struct{}, max int) ([][]string, error) {
-	gate := budget.SearchGate(cfg.ctx, "usage-violations")
-	type pair struct{ f, s int }
-	type node struct {
-		at    pair
-		trace []string
-	}
-	start := pair{f: flat.Start(), s: spec.Start()}
-	visited := map[pair]struct{}{start: {}}
-	frontier := []node{{at: start}}
-	var out [][]string
-	for len(frontier) > 0 && len(out) < max {
-		var next []node
-		for _, n := range frontier {
-			if err := gate.Tick(); err != nil {
-				return nil, err
-			}
-			if flat.Accepting(n.at.f) && (n.at.s < 0 || !spec.Accepting(n.at.s)) {
-				out = append(out, n.trace)
-				if len(out) >= max {
-					return out, nil
-				}
-			}
-			for _, sym := range flat.Alphabet() {
-				ft := flat.Target(n.at.f, sym)
-				if ft < 0 {
-					continue
-				}
-				st := n.at.s
-				if _, mine := specSyms[sym]; mine {
-					if st >= 0 {
-						st = spec.Target(st, sym)
-					}
-					if st < 0 {
-						st = -2
-					}
-				}
-				np := pair{f: ft, s: st}
-				if _, seen := visited[np]; seen {
-					continue
-				}
-				visited[np] = struct{}{}
-				trace := make([]string, len(n.trace)+1)
-				copy(trace, n.trace)
-				trace[len(n.trace)] = sym
-				next = append(next, node{at: np, trace: trace})
-			}
-		}
-		frontier = next
-	}
-	return out, nil
+// badUsages returns up to max complete usages of the flattened behavior
+// whose projection onto the subsystem's alphabet the spec rejects,
+// shortest first, each reaching a distinct product pair. The search
+// ticks cfg.ctx's MaxSearchNodes gate named op and observes
+// cancellation.
+func badUsages(cfg config, op string, flat, spec *automata.DFA, max int) ([][]string, error) {
+	return flat.Search(flat.Start(), spec.Over(flat.Alphabet(), true),
+		func(f, s bool) bool { return f && !s }, max, budget.SearchGate(cfg.ctx, op))
 }

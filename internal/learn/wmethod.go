@@ -7,6 +7,7 @@ import (
 
 	"github.com/shelley-go/shelley/internal/automata"
 	"github.com/shelley-go/shelley/internal/budget"
+	"github.com/shelley-go/shelley/internal/regex"
 )
 
 // WMethodSuite generates the Chow/Vasilevski W-method conformance test
@@ -97,7 +98,7 @@ func WMethodSuiteCtx(ctx context.Context, spec *automata.DFA, extraStates int) (
 			}
 		}
 	}
-	sort.Slice(suite, func(i, j int) bool { return lessTrace(suite[i], suite[j]) })
+	sort.Slice(suite, func(i, j int) bool { return regex.LessTrace(suite[i], suite[j]) })
 	return suite, nil
 }
 
@@ -181,54 +182,18 @@ func characterizationSet(d *automata.DFA, gate *budget.Gate) ([][]string, error)
 	return w, nil
 }
 
-// distinguishingSuffix finds a shortest suffix on which states i and j
-// disagree, or false when they are equivalent. Every visited state pair
-// ticks the gate.
+// distinguishingSuffix finds the shortlex-least suffix on which states i
+// and j disagree, or false when they are equivalent. d is total, as
+// WMethodSuiteCtx completes it. Every visited state pair ticks the gate.
 func distinguishingSuffix(d *automata.DFA, i, j int, gate *budget.Gate) ([]string, bool, error) {
-	type pair struct{ a, b int }
-	type node struct {
-		at     pair
-		suffix []string
+	from := d.Over(d.Alphabet(), false)
+	from.Start = j
+	w, err := d.Search(i, from, func(a, b bool) bool { return a != b }, 1, gate)
+	if err != nil {
+		return nil, false, fmt.Errorf("learn: %w", err)
 	}
-	start := pair{a: i, b: j}
-	visited := map[pair]struct{}{start: {}}
-	frontier := []node{{at: start}}
-	for len(frontier) > 0 {
-		var next []node
-		for _, n := range frontier {
-			if err := gate.Tick(); err != nil {
-				return nil, false, fmt.Errorf("learn: %w", err)
-			}
-			if d.Accepting(n.at.a) != d.Accepting(n.at.b) {
-				return n.suffix, true, nil
-			}
-			for _, sym := range d.Alphabet() {
-				np := pair{a: d.Target(n.at.a, sym), b: d.Target(n.at.b, sym)}
-				if np.a < 0 || np.b < 0 {
-					// Complete() input makes this unreachable; guard for
-					// totality on arbitrary DFAs.
-					continue
-				}
-				if _, ok := visited[np]; ok {
-					continue
-				}
-				visited[np] = struct{}{}
-				next = append(next, node{at: np, suffix: concat(n.suffix, []string{sym})})
-			}
-		}
-		frontier = next
+	if len(w) == 0 {
+		return nil, false, nil
 	}
-	return nil, false, nil
-}
-
-func lessTrace(a, b []string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return w[0], true, nil
 }

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"github.com/shelley-go/shelley/internal/automata"
+	"github.com/shelley-go/shelley/internal/regex"
 )
 
 // CorpusConfig bounds one class's trace corpus. All bounds shed (the
@@ -262,18 +263,6 @@ func (c *Corpus) Snapshot() *Snapshot {
 			stack = append(stack, frame{n: child, state: st, path: path})
 		}
 	}
-	sort.Slice(traces, func(i, j int) bool { return lessTrace(traces[i], traces[j]) })
+	sort.Slice(traces, func(i, j int) bool { return regex.LessTrace(traces[i], traces[j]) })
 	return &Snapshot{PTA: pta, Traces: traces, Alphabet: alphabet, Stats: c.statsLocked()}
-}
-
-func lessTrace(a, b []string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

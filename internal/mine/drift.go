@@ -73,33 +73,30 @@ type Report struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Diff classifies a mined model against the statically inferred one.
-// Each direction is the intersection of one model with the complement
-// of the other — computed as a single difference product over the
-// *union* alphabet, so an event the static model has never heard of
-// (the clearest drift there is) lands in the drift direction instead of
-// vanishing inside a too-small complement. Products run under the
-// context's resource budget.
+// Diff classifies a mined model against the statically inferred one by
+// the two language differences. A trace the mined model accepts that
+// mentions an event the static model has never heard of (the clearest
+// drift there is) lands in the drift direction, since a DFA rejects
+// every symbol outside its alphabet. Each difference is one product
+// search under the context's resource budget.
 //
 //	L(mined) \ L(static) ≠ ∅  →  DRIFT, with a shortest witness
 //	L(static) \ L(mined) ≠ ∅  →  under-approximated
 //	both empty                →  conformant
 func Diff(ctx context.Context, mined, static *automata.DFA) (verdict string, counterexample, missing []string, err error) {
-	diffOp := func(a, b bool) bool { return a && !b }
-
-	over, err := automata.ProductCtx(ctx, mined, static, diffOp)
+	over, drift, err := automata.ShortestDifference(ctx, mined, static)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if w, ok := over.ShortestAccepted(); ok {
-		return VerdictDrift, w, nil, nil
+	if drift {
+		return VerdictDrift, over, nil, nil
 	}
-	under, err := automata.ProductCtx(ctx, static, mined, diffOp)
+	under, partial, err := automata.ShortestDifference(ctx, static, mined)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if w, ok := under.ShortestAccepted(); ok {
-		return VerdictUnder, nil, w, nil
+	if partial {
+		return VerdictUnder, nil, under, nil
 	}
 	return VerdictConformant, nil, nil, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/shelley-go/shelley/internal/automata"
 	"github.com/shelley-go/shelley/internal/budget"
+	"github.com/shelley-go/shelley/internal/regex"
 	"github.com/shelley-go/shelley/internal/store"
 )
 
@@ -108,7 +109,7 @@ func TestSnapshotPTAMatchesObservedLanguage(t *testing.T) {
 		t.Fatalf("snapshot has %d traces, want %d", len(snap.Traces), len(obs))
 	}
 	for i := 1; i < len(snap.Traces); i++ {
-		if !lessTrace(snap.Traces[i-1], snap.Traces[i]) {
+		if !regex.LessTrace(snap.Traces[i-1], snap.Traces[i]) {
 			t.Fatalf("snapshot traces not sorted: %v before %v", snap.Traces[i-1], snap.Traces[i])
 		}
 	}

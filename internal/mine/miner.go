@@ -416,15 +416,12 @@ func (t *corpusTeacher) Equivalent(hyp *automata.DFA) ([]string, bool) {
 			return cex, false
 		}
 	}
-	diff, err := automata.ProductCtx(t.ctx, hyp, t.snap.PTA, func(a, b bool) bool { return a != b })
+	w, same, err := automata.DistinguishCtx(t.ctx, hyp, t.snap.PTA)
 	if err != nil {
 		t.err = err
 		return nil, true
 	}
-	if w, ok := diff.ShortestAccepted(); ok {
-		return w, false
-	}
-	return nil, true
+	return w, same
 }
 
 // persisted is the store payload of one class: the drift report plus

@@ -97,46 +97,17 @@ func CountAtMost(r Regex, maxLen int) int {
 // false when L(r) is empty. Among traces of minimal length it returns the
 // lexicographically least one, making counterexample output deterministic.
 func ShortestTrace(r Regex) ([]string, bool) {
-	alphabet := Alphabet(r)
-	type node struct {
-		r     Regex
-		trace []string
-	}
-	visited := map[string]struct{}{Key(r): {}}
-	frontier := []node{{r: r}}
-	for len(frontier) > 0 {
-		var next []node
-		for _, n := range frontier {
-			if Nullable(n.r) {
-				return n.trace, true
-			}
-			for _, f := range alphabet {
-				d := Derivative(n.r, f)
-				if IsEmptyLanguage(d) {
-					continue
-				}
-				k := Key(d)
-				if _, ok := visited[k]; ok {
-					continue
-				}
-				visited[k] = struct{}{}
-				trace := make([]string, len(n.trace)+1)
-				copy(trace, n.trace)
-				trace[len(n.trace)] = f
-				next = append(next, node{r: d, trace: trace})
-			}
-		}
-		frontier = next
-	}
-	return nil, false
+	return shortestPair(r, Empty(), func(x, _ bool) bool { return x })
 }
 
 // sortTraces orders traces in shortlex order.
 func sortTraces(ts [][]string) {
-	sort.Slice(ts, func(i, j int) bool { return lessTrace(ts[i], ts[j]) })
+	sort.Slice(ts, func(i, j int) bool { return LessTrace(ts[i], ts[j]) })
 }
 
-func lessTrace(a, b []string) bool {
+// LessTrace reports whether trace a precedes trace b in shortlex
+// order: shorter first, then symbol by symbol.
+func LessTrace(a, b []string) bool {
 	if len(a) != len(b) {
 		return len(a) < len(b)
 	}

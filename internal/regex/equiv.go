@@ -1,7 +1,12 @@
 package regex
 
-// Language equivalence and inclusion, decided by bisimulation over
-// Brzozowski derivatives (Hopcroft–Karp style union–find on pairs).
+import (
+	"slices"
+	"sort"
+)
+
+// Language equivalence and inclusion, decided by a breadth-first search
+// over pairs of Brzozowski derivatives.
 //
 // Because the smart constructors normalize modulo associativity,
 // commutativity, and idempotence of +, the set of derivatives of an
@@ -18,39 +23,8 @@ func Equivalent(a, b Regex) bool {
 // shortest distinguishing traces the lexicographically least is returned,
 // so output is deterministic.
 func Distinguish(a, b Regex) ([]string, bool) {
-	alphabet := unionAlphabet(a, b)
-
-	type pair struct {
-		a, b  Regex
-		trace []string
-	}
-	seen := map[string]struct{}{pairKey(a, b): {}}
-	frontier := []pair{{a: a, b: b}}
-	for len(frontier) > 0 {
-		var next []pair
-		for _, p := range frontier {
-			if Nullable(p.a) != Nullable(p.b) {
-				return p.trace, false
-			}
-			for _, f := range alphabet {
-				da, db := Derivative(p.a, f), Derivative(p.b, f)
-				if IsEmptyLanguage(da) && IsEmptyLanguage(db) {
-					continue
-				}
-				k := pairKey(da, db)
-				if _, ok := seen[k]; ok {
-					continue
-				}
-				seen[k] = struct{}{}
-				trace := make([]string, len(p.trace)+1)
-				copy(trace, p.trace)
-				trace[len(p.trace)] = f
-				next = append(next, pair{a: da, b: db, trace: trace})
-			}
-		}
-		frontier = next
-	}
-	return nil, true
+	w, found := shortestPair(a, b, func(x, y bool) bool { return x != y })
+	return w, !found
 }
 
 // Subset reports whether L(a) ⊆ L(b).
@@ -62,42 +36,57 @@ func Subset(a, b Regex) bool {
 // CounterexampleSubset returns (nil, true) when L(a) ⊆ L(b); otherwise it
 // returns a shortest trace in L(a) \ L(b) and false.
 func CounterexampleSubset(a, b Regex) ([]string, bool) {
-	alphabet := unionAlphabet(a, b)
+	w, found := shortestPair(a, b, func(x, y bool) bool { return x && !y })
+	return w, !found
+}
 
-	type pair struct {
-		a, b  Regex
-		trace []string
-	}
-	seen := map[string]struct{}{pairKey(a, b): {}}
-	frontier := []pair{{a: a, b: b}}
-	for len(frontier) > 0 {
-		var next []pair
-		for _, p := range frontier {
-			if Nullable(p.a) && !Nullable(p.b) {
-				return p.trace, false
-			}
-			for _, f := range alphabet {
-				da := Derivative(p.a, f)
-				if IsEmptyLanguage(da) {
-					// Nothing in L(a) continues this way; inclusion
-					// cannot fail down this branch.
-					continue
+// shortestPair returns the shortlex-least trace t with op(t ∈ L(a),
+// t ∈ L(b)), searching pairs of derivatives breadth-first in alphabet
+// order. A pair is pruned when op cannot hold with its empty
+// derivatives rejecting for ever.
+func shortestPair(a, b Regex, op func(x, y bool) bool) ([]string, bool) {
+	alphabet := unionAlphabet(a, b)
+	live := func(da, db Regex) bool {
+		for _, x := range []bool{false, !IsEmptyLanguage(da)} {
+			for _, y := range []bool{false, !IsEmptyLanguage(db)} {
+				if op(x, y) {
+					return true
 				}
-				db := Derivative(p.b, f)
-				k := pairKey(da, db)
-				if _, ok := seen[k]; ok {
-					continue
-				}
-				seen[k] = struct{}{}
-				trace := make([]string, len(p.trace)+1)
-				copy(trace, p.trace)
-				trace[len(p.trace)] = f
-				next = append(next, pair{a: da, b: db, trace: trace})
 			}
 		}
-		frontier = next
+		return false
 	}
-	return nil, true
+	type node struct {
+		a, b   Regex
+		parent int
+		sym    string
+	}
+	seen := map[string]struct{}{pairKey(a, b): {}}
+	nodes := []node{{a: a, b: b, parent: -1}}
+	for head := 0; head < len(nodes); head++ {
+		n := nodes[head]
+		if op(Nullable(n.a), Nullable(n.b)) {
+			var trace []string
+			for i := head; nodes[i].parent >= 0; i = nodes[i].parent {
+				trace = append(trace, nodes[i].sym)
+			}
+			slices.Reverse(trace)
+			return trace, true
+		}
+		for _, f := range alphabet {
+			da, db := Derivative(n.a, f), Derivative(n.b, f)
+			if !live(da, db) {
+				continue
+			}
+			k := pairKey(da, db)
+			if _, ok := seen[k]; ok {
+				continue
+			}
+			seen[k] = struct{}{}
+			nodes = append(nodes, node{a: da, b: db, parent: head, sym: f})
+		}
+	}
+	return nil, false
 }
 
 func pairKey(a, b Regex) string { return Key(a) + "|" + Key(b) }
@@ -110,15 +99,6 @@ func unionAlphabet(a, b Regex) []string {
 	for s := range set {
 		out = append(out, s)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(ss []string) {
-	// Insertion sort: alphabets are tiny (method names of one class).
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }

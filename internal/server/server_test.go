@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,11 +459,15 @@ func TestServerConcurrentClientsRace(t *testing.T) {
 // SIGTERM: once every request is inside a handler, Shutdown must let
 // all of them complete and deliver correct bodies — none dropped.
 func TestServerShutdownDrainsInFlight(t *testing.T) {
-	const inFlight = 24
+	const (
+		inFlight = 24
+		workers  = 2
+	)
 	release := make(chan struct{})
+	var held atomic.Int32
 	srv, cl := startServer(t, Config{
-		Workers: 2, QueueDepth: inFlight + 8, RequestTimeout: 60 * time.Second,
-		jobHook: func() { <-release },
+		Workers: workers, QueueDepth: inFlight + 8, RequestTimeout: 60 * time.Second,
+		jobHook: func() { held.Add(1); <-release },
 	})
 	ctx := context.Background()
 
@@ -491,10 +496,21 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 		}(i)
 	}
 
-	// Wait until every request is admitted and held, then drain
+	// Wait until every request is admitted to the pool, then drain
 	// mid-traffic: Shutdown starts while all 24 are in flight, the
-	// workers are released only after draining has begun.
-	waitMetric(t, cl, "shelleyd_inflight_requests", inFlight)
+	// workers are released only after draining has begun. Being inside
+	// a handler is not enough: a request that has not yet reached the
+	// pool is refused once draining starts, and the pool promises to
+	// finish only the work it admitted. Every worker holds one job and
+	// the queue holds the rest.
+	deadline := time.Now().Add(10 * time.Second)
+	for held.Load() < workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d workers picked up a job", held.Load(), workers)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	waitMetric(t, cl, "shelleyd_queue_depth", inFlight-workers)
 	shutDone := make(chan error, 1)
 	shutCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
