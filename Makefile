@@ -35,7 +35,8 @@ bench-record:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzzing pass over every parser (seeds always run under `test`).
+# Short fuzzing pass over every parser and the session's block-by-block
+# parse (seeds always run under `test`).
 fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/pytoken
 	$(GO) test -fuzz=FuzzTokenCoverage -fuzztime=30s ./internal/pytoken
@@ -43,6 +44,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/regex
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/ltlf
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/ir
+	$(GO) test -run='^$$' -fuzz='^FuzzSessionParseMatchesWhole$$' -fuzztime=30s .
 
 # Regenerate every paper artifact (tables, figures, theorems).
 experiments:

@@ -1,9 +1,12 @@
 package automata
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/shelley-go/shelley/internal/budget"
 	"github.com/shelley-go/shelley/internal/regex"
 )
 
@@ -125,67 +128,64 @@ func TestMinimizeRandomPreservesLanguage(t *testing.T) {
 	}
 }
 
+// productSearch runs the product search of a and b over their joint
+// alphabet, on which each machine dies at a symbol it lacks, and
+// returns up to max witnesses of op and the number of pairs it visited.
+func productSearch(t testing.TB, a, b *DFA, op BoolOp, max int) ([][]string, int) {
+	t.Helper()
+	alphabet := sortedSet(append(append([]string(nil), a.Alphabet()...), b.Alphabet()...))
+	joint := a.Relabel(alphabet, func(sym string) string { return sym })
+	gate := budget.SearchGate(context.Background(), "product")
+	ws, err := joint.Search(joint.Start(), b.Over(alphabet, false), op, max, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws, gate.N()
+}
+
+// boolOps are the boolean operations of two languages that no trace
+// outside both alphabets satisfies.
+var boolOps = []struct {
+	name string
+	op   BoolOp
+}{
+	{"intersection", func(x, y bool) bool { return x && y }},
+	{"union", func(x, y bool) bool { return x || y }},
+	{"difference", func(x, y bool) bool { return x && !y }},
+	{"symmetric difference", func(x, y bool) bool { return x != y }},
+}
+
+// TestProductOperations pins the product search under each boolean
+// operation: its shortest witness, and that every witness it returns
+// satisfies the operation.
 func TestProductOperations(t *testing.T) {
 	a := CompileMinimal(regex.MustParse("(a + b)* . a")) // ends in a
 	b := CompileMinimal(regex.MustParse("a . (a + b)*")) // starts with a
-
-	tests := []struct {
-		name string
-		dfa  *DFA
-		in   [][]string
-		out  [][]string
-	}{
-		{
-			"intersection", Intersect(a, b),
-			[][]string{{"a"}, {"a", "b", "a"}},
-			[][]string{{}, {"b", "a"}, {"a", "b"}},
-		},
-		{
-			"union", UnionDFA(a, b),
-			[][]string{{"a"}, {"b", "a"}, {"a", "b"}},
-			[][]string{{}, {"b"}, {"b", "b"}},
-		},
-		{
-			"difference", Difference(a, b),
-			[][]string{{"b", "a"}},
-			[][]string{{"a"}, {"a", "b"}, {"b"}},
-		},
-		{
-			"symmetric difference", SymmetricDifference(a, b),
-			[][]string{{"b", "a"}, {"a", "b"}},
-			[][]string{{"a"}, {"a", "b", "a"}, {}},
-		},
-	}
-	for _, tt := range tests {
-		for _, trace := range tt.in {
-			if !tt.dfa.Accepts(trace) {
-				t.Errorf("%s should accept %v", tt.name, trace)
-			}
+	shortest := [][]string{{"a"}, {"a"}, {"b", "a"}, {"a", "b"}}
+	for i, tt := range boolOps {
+		ws, _ := productSearch(t, a, b, tt.op, 8)
+		if len(ws) == 0 || !reflect.DeepEqual(ws[0], shortest[i]) {
+			t.Fatalf("%s: witnesses %q, want %q first", tt.name, ws, shortest[i])
 		}
-		for _, trace := range tt.out {
-			if tt.dfa.Accepts(trace) {
-				t.Errorf("%s should reject %v", tt.name, trace)
+		for _, w := range ws {
+			if !tt.op(a.Accepts(w), b.Accepts(w)) {
+				t.Errorf("%s: witness %q does not satisfy it", tt.name, w)
 			}
 		}
 	}
 }
 
+// TestProductOverDifferentAlphabets: each machine dies on the other's
+// symbols, so the union search of x* and y* reaches ε, x and y, and
+// prunes every trace mixing the two, where both are dead: it visits
+// three pairs.
 func TestProductOverDifferentAlphabets(t *testing.T) {
 	a := CompileMinimal(regex.MustParse("x*"))
 	b := CompileMinimal(regex.MustParse("y*"))
-	u := UnionDFA(a, b)
-	for _, tt := range []struct {
-		trace []string
-		want  bool
-	}{
-		{nil, true},
-		{[]string{"x", "x"}, true},
-		{[]string{"y"}, true},
-		{[]string{"x", "y"}, false},
-	} {
-		if got := u.Accepts(tt.trace); got != tt.want {
-			t.Errorf("union over {x},{y}: Accepts(%v) = %v, want %v", tt.trace, got, tt.want)
-		}
+	or := func(x, y bool) bool { return x || y }
+	ws, visited := productSearch(t, a, b, or, 10)
+	if want := [][]string{nil, {"x"}, {"y"}}; !reflect.DeepEqual(ws, want) || visited != 3 {
+		t.Errorf("union over {x},{y}: witnesses %q after %d pairs, want %q after 3", ws, visited, want)
 	}
 }
 

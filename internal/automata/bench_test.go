@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"math"
 	"testing"
 
 	"github.com/shelley-go/shelley/internal/regex"
@@ -26,13 +27,19 @@ func BenchmarkMinimize(b *testing.B) {
 	}
 }
 
+// BenchmarkProduct walks the whole reachable product of two DFAs with
+// the product search.
 func BenchmarkProduct(b *testing.B) {
 	d1 := CompileMinimal(regex.MustParse("(a + b)* . a"))
 	d2 := CompileMinimal(regex.MustParse("a . (a + b)*"))
+	and := func(x, y bool) bool { return x && y }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Intersect(d1, d2)
+		// Asking for every witness walks the whole reachable product.
+		if _, err := d1.Search(d1.Start(), d2.Over(d1.Alphabet(), false), and, math.MaxInt, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

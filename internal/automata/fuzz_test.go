@@ -95,7 +95,9 @@ func FuzzMinimize(f *testing.F) {
 	})
 }
 
-// FuzzIntersect: budgeted products over two fuzzed languages are total.
+// FuzzIntersect: the budgeted intersection search over two fuzzed
+// languages is total, its witness lies in both, and it is the empty
+// trace exactly when both languages contain it.
 func FuzzIntersect(f *testing.F) {
 	for i, s := range fuzzSeeds {
 		f.Add(s, fuzzSeeds[(i+3)%len(fuzzSeeds)])
@@ -118,12 +120,16 @@ func FuzzIntersect(f *testing.F) {
 		if !okOrBudget(t, "derivatives B", err) {
 			return
 		}
-		p, err := IntersectCtx(ctx, da, db)
+		ws, err := da.Search(da.Start(), db.Over(da.Alphabet(), false),
+			func(x, y bool) bool { return x && y }, 1, budget.SearchGate(ctx, "intersect"))
 		if !okOrBudget(t, "intersect", err) {
 			return
 		}
-		if p.Accepts(nil) != (da.Accepts(nil) && db.Accepts(nil)) {
+		if (len(ws) > 0 && len(ws[0]) == 0) != (da.Accepts(nil) && db.Accepts(nil)) {
 			t.Fatalf("intersect changed nullability for %q ∩ %q", srcA, srcB)
+		}
+		if len(ws) > 0 && !(da.Accepts(ws[0]) && db.Accepts(ws[0])) {
+			t.Fatalf("intersect witness %q of %q ∩ %q lies outside one of them", ws[0], srcA, srcB)
 		}
 	})
 }

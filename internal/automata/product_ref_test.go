@@ -9,8 +9,8 @@ import (
 
 // This file keeps the product construction and the breadth-first
 // searches that the product search (search.go) replaced, verbatim up to
-// renaming, as the reference: the tests of the boolean operations run
-// on it, and search_test.go pins every search to it.
+// renaming, as the reference that search_test.go and diff_ref_test.go
+// pin every search to.
 
 // Product returns a DFA over the union alphabet accepting exactly the
 // traces t with op(a accepts t, b accepts t). Unbounded; use ProductCtx
@@ -64,16 +64,6 @@ func ProductCtx(ctx context.Context, a, b *DFA, op BoolOp) (*DFA, error) {
 // Intersect returns a DFA for L(a) ∩ L(b).
 func Intersect(a, b *DFA) *DFA {
 	return Product(a, b, func(x, y bool) bool { return x && y })
-}
-
-// IntersectCtx is Intersect under the context's budget.
-func IntersectCtx(ctx context.Context, a, b *DFA) (*DFA, error) {
-	return ProductCtx(ctx, a, b, func(x, y bool) bool { return x && y })
-}
-
-// UnionDFA returns a DFA for L(a) ∪ L(b).
-func UnionDFA(a, b *DFA) *DFA {
-	return Product(a, b, func(x, y bool) bool { return x || y })
 }
 
 // Difference returns a DFA for L(a) \ L(b).

@@ -10,7 +10,8 @@ import (
 )
 
 // Property-based tests (testing/quick) of the boolean algebra of
-// regular languages as realized by the DFA operations.
+// regular languages as realized by the DFA operations and the product
+// search.
 
 type dfaPair struct {
 	a, b *DFA
@@ -31,26 +32,33 @@ func (dfaPair) Generate(rng *rand.Rand, _ int) reflect.Value {
 
 var quickTraces = allTraces([]string{"a", "b", "c"}, 3)
 
+// TestQuickProductImplementsBooleanAlgebra: under every boolean
+// operation, the product search's first witness is the shortlex-least
+// trace of length at most 3 that satisfies it, by membership in both
+// languages; when no such trace exists, any witness is longer and
+// satisfies the operation.
 func TestQuickProductImplementsBooleanAlgebra(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150}
 	f := func(p dfaPair) bool {
-		inter := Intersect(p.a, p.b)
-		union := UnionDFA(p.a, p.b)
-		diff := Difference(p.a, p.b)
-		sym := SymmetricDifference(p.a, p.b)
-		for _, tr := range quickTraces {
-			ia, ib := p.a.Accepts(tr), p.b.Accepts(tr)
-			if inter.Accepts(tr) != (ia && ib) {
-				return false
+		for _, tt := range boolOps {
+			ws, _ := productSearch(t, p.a, p.b, tt.op, 1)
+			var want []string
+			found := false
+			for _, tr := range quickTraces {
+				if tt.op(p.a.Accepts(tr), p.b.Accepts(tr)) {
+					want, found = tr, true
+					break
+				}
 			}
-			if union.Accepts(tr) != (ia || ib) {
-				return false
-			}
-			if diff.Accepts(tr) != (ia && !ib) {
-				return false
-			}
-			if sym.Accepts(tr) != (ia != ib) {
-				return false
+			switch {
+			case found:
+				if len(ws) == 0 || !reflect.DeepEqual(ws[0], want) {
+					return false
+				}
+			case len(ws) > 0:
+				if len(ws[0]) <= 3 || !tt.op(p.a.Accepts(ws[0]), p.b.Accepts(ws[0])) {
+					return false
+				}
 			}
 		}
 		return true
@@ -60,18 +68,25 @@ func TestQuickProductImplementsBooleanAlgebra(t *testing.T) {
 	}
 }
 
+// TestQuickDeMorgan: a ∪ b = ¬(¬a ∩ ¬b). Complement is
+// alphabet-relative, so both operands are first relabeled onto their
+// joint alphabet; the union search over them and the "not both" search
+// over their complements find the same first witness, and membership
+// agrees on every trace up to length 3.
 func TestQuickDeMorgan(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100}
 	f := func(p dfaPair) bool {
-		// a ∪ b = ¬(¬a ∩ ¬b). Complement is alphabet-relative, so both
-		// operands are first extended to the common union alphabet.
-		alpha := unionAlphabet(p.a, p.b)
-		pa := p.a.extendAlphabet(alpha)
-		pb := p.b.extendAlphabet(alpha)
-		lhs := UnionDFA(pa, pb)
-		rhs := Intersect(pa.Complement(), pb.Complement()).Complement()
+		alpha := sortedSet(append(append([]string(nil), p.a.Alphabet()...), p.b.Alphabet()...))
+		id := func(sym string) string { return sym }
+		pa, pb := p.a.Relabel(alpha, id), p.b.Relabel(alpha, id)
+		ca, cb := pa.Complement(), pb.Complement()
+		lhs, _ := productSearch(t, pa, pb, func(x, y bool) bool { return x || y }, 1)
+		rhs, _ := productSearch(t, ca, cb, func(x, y bool) bool { return !(x && y) }, 1)
+		if !reflect.DeepEqual(lhs, rhs) {
+			return false
+		}
 		for _, tr := range allTraces(alpha, 3) {
-			if lhs.Accepts(tr) != rhs.Accepts(tr) {
+			if (pa.Accepts(tr) || pb.Accepts(tr)) == (ca.Accepts(tr) && cb.Accepts(tr)) {
 				return false
 			}
 		}

@@ -170,46 +170,42 @@ func (cfg config) minimalDFA(r regex.Regex) (*automata.DFA, error) {
 	return cfg.cache.MinimalDFA(cfg.ctx, r)
 }
 
-// flatPair bundles the flattened ε-automaton (needed for trace
-// annotation) with its determinized erasure (needed for every search).
-type flatPair struct {
-	flat *flatAutomaton
-	dfa  *automata.DFA
-}
-
-// flattened builds — or retrieves — the flattened behavior of the
-// composite over its subsystem alphabet (subsystemAlphabet, which is
-// also the DFA's alphabet) plus its DFA, memoized under StageFlatten.
-// Both halves are immutable after construction and shared read-only
-// across workers; the singleflight in the cache guarantees two workers
-// never run the flatten substitution or the subset construction for the
-// same class concurrently.
-func flattened(cfg config, c *model.Class, reg Registry) (*flatAutomaton, *automata.DFA, error) {
-	build := func(ctx context.Context) (flatPair, error) {
+// flattened builds — or retrieves — the DFA of the composite's
+// flattened behavior over its subsystem alphabet (subsystemAlphabet),
+// memoized under StageFlatten. The cache keeps only the DFA, which is
+// immutable and shared read-only across workers; the singleflight in
+// the cache guarantees two workers never run the flatten substitution
+// or the subset construction for the same class concurrently. The
+// ε-automaton is returned too when this call built it, and is nil after
+// a hit: only a usage counterexample needs it, and checkUsage rebuilds
+// it then (flattenClass).
+func flattened(cfg config, c *model.Class, reg Registry) (flat *flatAutomaton, dfa *automata.DFA, err error) {
+	build := func(ctx context.Context) (*automata.DFA, error) {
 		// The span-carrying ctx from the memo layer replaces cfg.ctx so
 		// nested stage builds parent under the flatten span.
 		cfg := cfg
 		cfg.ctx = ctx
-		alphabet, err := subsystemAlphabet(c, reg)
-		if err != nil {
-			return flatPair{}, err
+		if flat, err = flattenClass(cfg, c, reg); err != nil {
+			return nil, err
 		}
-		flat, err := flattenWith(cfg, c, alphabet)
-		if err != nil {
-			return flatPair{}, err
-		}
-		dfa, err := flat.toDFA(cfg.ctx)
-		if err != nil {
-			return flatPair{}, err
-		}
-		return flatPair{flat: flat, dfa: dfa}, nil
+		return flat.toDFA(cfg.ctx)
 	}
 	if cfg.cache != nil {
 		if keys := cfg.keysFor(c, reg); keys.ok {
-			pair, err := pipeline.MemoCtx(cfg.ctx, cfg.cache, pipeline.StageFlatten, keys.flatten, build)
-			return pair.flat, pair.dfa, err
+			dfa, err = pipeline.MemoCtx(cfg.ctx, cfg.cache, pipeline.StageFlatten, keys.flatten, build)
+			return flat, dfa, err
 		}
 	}
-	pair, err := build(cfg.ctx)
-	return pair.flat, pair.dfa, err
+	dfa, err = build(cfg.ctx)
+	return flat, dfa, err
+}
+
+// flattenClass builds the flat ε-automaton of the composite over its
+// subsystem alphabet.
+func flattenClass(cfg config, c *model.Class, reg Registry) (*flatAutomaton, error) {
+	alphabet, err := subsystemAlphabet(c, reg)
+	if err != nil {
+		return nil, err
+	}
+	return flattenWith(cfg, c, alphabet)
 }

@@ -41,11 +41,11 @@ func checkClaims(cfg config, c *model.Class, reg Registry, report *Report) error
 	alphabet := flatDFA.Alphabet()
 
 	for _, claim := range c.Claims {
-		formula, err := ltlf.Parse(claim.Formula)
+		formula, atoms, err := claim.Parse()
 		if err != nil {
 			return fmt.Errorf("check: class %s, claim at %s: %w", c.Name, claim.Pos, err)
 		}
-		for _, atom := range ltlf.Atoms(formula) {
+		for _, atom := range atoms {
 			if _, ok := slices.BinarySearch(alphabet, atom); !ok {
 				report.Diagnostics = append(report.Diagnostics, Diagnostic{
 					Kind: KindUnknownClaimAtom,
@@ -55,7 +55,7 @@ func checkClaims(cfg config, c *model.Class, reg Registry, report *Report) error
 				})
 			}
 		}
-		violations, err := cfg.cache.ClaimNegation(cfg.ctx, formula, claim.Formula, alphabet)
+		violations, err := cfg.cache.ClaimNegationOf(cfg.ctx, formula, atoms, claim.Formula, alphabet)
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,15 @@ func checkUsage(cfg config, c *model.Class, reg Registry, subs map[string]*model
 		return nil
 	}
 
-	// Annotate the trace with operation boundaries.
+	// Annotate the trace with operation boundaries. After a flatten hit
+	// the ε-automaton is rebuilt: flattening is deterministic, and the
+	// hit was built under the same flatten limits, so no budget trips
+	// on the rebuild.
+	if flat == nil {
+		if flat, err = flattenClass(cfg, c, reg); err != nil {
+			return err
+		}
+	}
 	events, err := flat.annotate(best)
 	if err != nil {
 		return err

@@ -445,17 +445,17 @@ func CompileCtx(ctx context.Context, f Formula, alphabet []string) (*automata.DF
 // it.
 const Other = "<other>"
 
-// Minterms returns a smaller alphabet that f cannot tell from alphabet:
-// progression only compares events with the atoms f names, so every
-// other event moves it exactly as Other does. The minterms are the
-// atoms of f that occur in alphabet, plus Other when some event of
-// alphabet is no atom of f, in the order of their first occurrence in
-// alphabet (an event's minterm is class(event)). Compiling f over them
-// meets the residues that compiling over alphabet meets, in the same
-// order, so the two compiles have equal state counts and trip the same
-// budget; relabeling the minterm DFA with class gives the other DFA.
-func Minterms(f Formula, alphabet []string) (minterms []string, class func(event string) string) {
-	atoms := Atoms(f)
+// Minterms returns a smaller alphabet that a formula f with the given
+// atoms (Atoms(f), sorted) cannot tell from alphabet: progression only
+// compares events with the atoms f names, so every other event moves it
+// exactly as Other does. The minterms are the atoms of f that occur in
+// alphabet, plus Other when some event of alphabet is no atom of f, in
+// the order of their first occurrence in alphabet (an event's minterm
+// is class(event)). Compiling f over them meets the residues that
+// compiling over alphabet meets, in the same order, so the two compiles
+// have equal state counts and trip the same budget; relabeling the
+// minterm DFA with class gives the other DFA.
+func Minterms(atoms, alphabet []string) (minterms []string, class func(event string) string) {
 	class = func(event string) string {
 		if _, ok := slices.BinarySearch(atoms, event); ok {
 			return event

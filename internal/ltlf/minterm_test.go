@@ -18,7 +18,7 @@ import (
 // mintermCompile is the cached path of the pipeline's claim stage: the
 // compile over the minterms, relabeled onto the alphabet.
 func mintermCompile(ctx context.Context, f Formula, alphabet []string) (*automata.DFA, int, error) {
-	minterms, class := Minterms(f, alphabet)
+	minterms, class := Minterms(Atoms(f), alphabet)
 	d, err := CompileNegationCtx(ctx, f, minterms)
 	if err != nil {
 		return nil, 0, err

@@ -14,6 +14,7 @@ import (
 	"github.com/shelley-go/shelley/internal/core"
 	"github.com/shelley-go/shelley/internal/depgraph"
 	"github.com/shelley-go/shelley/internal/lower"
+	"github.com/shelley-go/shelley/internal/ltlf"
 	"github.com/shelley-go/shelley/internal/pyast"
 	"github.com/shelley-go/shelley/internal/pytoken"
 	"github.com/shelley-go/shelley/internal/regex"
@@ -60,6 +61,33 @@ func (op *Operation) Behavior() regex.Regex { return core.Infer(op.Method.Progra
 type Claim struct {
 	Formula string
 	Pos     pytoken.Pos
+
+	// parsed memoizes Parse for every copy of a claim FromAST made;
+	// the formula is parsed when first checked, not when modeled.
+	parsed *parsedClaim
+}
+
+type parsedClaim struct {
+	once    sync.Once
+	formula ltlf.Formula
+	atoms   []string
+	err     error
+}
+
+// Parse returns the claim's formula parsed, with its sorted atoms
+// (ltlf.Atoms). A claim of a modeled class is parsed at most once; a
+// claim built by hand is parsed on every call.
+func (cl Claim) Parse() (ltlf.Formula, []string, error) {
+	p := cl.parsed
+	if p == nil {
+		p = &parsedClaim{}
+	}
+	p.once.Do(func() {
+		if p.formula, p.err = ltlf.Parse(cl.Formula); p.err == nil {
+			p.atoms = ltlf.Atoms(p.formula)
+		}
+	})
+	return p.formula, p.atoms, p.err
 }
 
 // Class is the Shelley model of one class.
@@ -180,7 +208,7 @@ func FromAST(cls *pyast.ClassDef) (*Class, error) {
 			if !ok {
 				return nil, &Error{Pos: d.NamePos, Msg: "@claim argument must be a string"}
 			}
-			out.Claims = append(out.Claims, Claim{Formula: s.Value, Pos: d.NamePos})
+			out.Claims = append(out.Claims, Claim{Formula: s.Value, Pos: d.NamePos, parsed: &parsedClaim{}})
 		default:
 			return nil, &Error{Pos: d.NamePos, Msg: fmt.Sprintf("unknown class decorator @%s", d.Name)}
 		}

@@ -56,9 +56,9 @@ const (
 	StageSpec
 
 	// StageFlatten memoizes flattened composite behavior automata —
-	// the ε-NFA substitution plus its determinization (keyed by the
-	// class fingerprint, analysis mode, and every subsystem
-	// fingerprint).
+	// the determinization of the ε-NFA substitution, not the ε-NFA
+	// itself (keyed by the class fingerprint, analysis mode, and every
+	// subsystem fingerprint).
 	StageFlatten
 
 	// StageClaim memoizes compiled LTLf claim-violation automata
@@ -544,7 +544,13 @@ func (c *Cache) BehaviorDFA(ctx context.Context, p ir.Program) (*automata.DFA, e
 // entry. The result is that automaton relabeled onto alphabet, which is
 // exactly the minimal DFA a compile over alphabet itself returns.
 func (c *Cache) ClaimNegation(ctx context.Context, f ltlf.Formula, formulaText string, alphabet []string) (*automata.DFA, error) {
-	minterms, class := ltlf.Minterms(f, alphabet)
+	return c.ClaimNegationOf(ctx, f, ltlf.Atoms(f), formulaText, alphabet)
+}
+
+// ClaimNegationOf is ClaimNegation for a caller that already holds the
+// atoms of f (ltlf.Atoms(f)), such as a parsed model.Claim.
+func (c *Cache) ClaimNegationOf(ctx context.Context, f ltlf.Formula, atoms []string, formulaText string, alphabet []string) (*automata.DFA, error) {
+	minterms, class := ltlf.Minterms(atoms, alphabet)
 	key := budgetKey(dfaLimits(budget.From(ctx)), formulaText+"\x00"+strings.Join(minterms, "\x00"))
 	d, err := MemoCtx(ctx, c, StageClaim, key, func(ctx context.Context) (*automata.DFA, error) {
 		return ltlf.CompileNegationCtx(ctx, f, minterms)

@@ -10,7 +10,6 @@ import (
 
 	"github.com/shelley-go/shelley/internal/depgraph"
 	"github.com/shelley-go/shelley/internal/model"
-	"github.com/shelley-go/shelley/internal/pyast"
 	"github.com/shelley-go/shelley/internal/pyparse"
 	"github.com/shelley-go/shelley/internal/pytoken"
 )
@@ -22,11 +21,11 @@ import (
 // Cache.NewSession). The frontend is incremental too: the incoming
 // source is cut at its top-level class blocks, and a block with the
 // same start line and bytes as one of the resident generation keeps
-// that generation's syntax tree and model, so only the edited classes
-// are tokenized, parsed and modeled again. A source the cut cannot
-// decide (a module-level statement, a backslash continuation, a block
-// that does not parse alone) is parsed whole, exactly as LoadSource
-// parses it. Downstream, the content-addressed artifacts of every
+// that generation's model, so only the edited classes are tokenized,
+// parsed and modeled again; no generation keeps a syntax tree. A source
+// the cut cannot decide (a module-level statement, a backslash
+// continuation, a block that does not parse alone) is parsed whole,
+// exactly as LoadSource parses it. Downstream, the content-addressed artifacts of every
 // unchanged method (behavior DFAs), unchanged protocol (spec
 // automata), and unchanged class (flattened automata, whole-class
 // reports) are reused across generations instead of being rebuilt.
@@ -55,13 +54,12 @@ type Session struct {
 type classBlocks map[int]classBlock
 
 // classBlock is one top-level class block: its own copy of the source
-// bytes (which the syntax tree's token text slices, so a reused tree
-// keeps alive only its block, never a whole old source), its syntax
-// tree and its model, both shared read-only by every generation that
-// reuses the block.
+// bytes (which the model's strings slice, so a reused model keeps alive
+// only its block, never a whole old source) and its model, shared
+// read-only by every generation that reuses the block. The block's
+// start line is its key in classBlocks.
 type classBlock struct {
 	text  string
-	ast   *pyast.ClassDef
 	model *model.Class
 }
 
@@ -178,7 +176,7 @@ func (c *Cache) loadBlocks(src []byte, prev classBlocks) (*Module, classBlocks) 
 			}
 		}
 		blocks[sp.Line] = b
-		m.add(b.ast, b.model)
+		m.add(b.model, b.text, sp.Line, 0)
 	}
 	return m, blocks
 }
@@ -194,7 +192,7 @@ func parseClassBlock(text string, line int) (classBlock, bool) {
 	if err != nil {
 		return classBlock{}, false
 	}
-	return classBlock{text: text, ast: mod.Classes[0], model: mc}, true
+	return classBlock{text: text, model: mc}, true
 }
 
 // RecheckResult is the outcome of one incremental edit-and-verify

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/shelley-go/shelley/internal/pipeline"
+	"github.com/shelley-go/shelley/internal/pyparse"
 )
 
 // sessionSource builds a module of one base class (Dev, last in the
@@ -274,9 +275,9 @@ func TestSessionPropertyRandomEdits(t *testing.T) {
 
 // assertSessionMatchesWhole pushes src through s and checks the outcome
 // against a cold whole-module load of src: the same error text (or
-// none), the same classes in order with deeply equal syntax trees
-// (positions included) and equal model fingerprints, and the same
-// registry.
+// none), the same classes in order with equal model fingerprints, each
+// re-parsing from the span it keeps to the syntax tree of a whole-module
+// parse of src (positions included), and the same registry.
 func assertSessionMatchesWhole(t *testing.T, s *Session, src string) {
 	t.Helper()
 	want, wantErr := LoadSource(src)
@@ -291,10 +292,19 @@ func assertSessionMatchesWhole(t *testing.T, s *Session, src string) {
 	if len(gc) != len(wc) {
 		t.Fatalf("session loaded %d classes, whole-module %d\nsource: %q", len(gc), len(wc), src)
 	}
+	tree, err := pyparse.ParseModule(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, w := range wc {
 		g := gc[i]
-		if g.Name() != w.Name() || !reflect.DeepEqual(g.ast, w.ast) {
-			t.Fatalf("class %d: session tree of %s differs from whole-module tree of %s\nsource: %q", i, g.Name(), w.Name(), src)
+		gt, gerr := g.classDef()
+		wt, werr := w.classDef()
+		if gerr != nil || werr != nil {
+			t.Fatalf("class %d: re-parse errors %v, %v\nsource: %q", i, gerr, werr, src)
+		}
+		if g.Name() != w.Name() || !reflect.DeepEqual(gt, tree.Classes[i]) || !reflect.DeepEqual(wt, tree.Classes[i]) {
+			t.Fatalf("class %d: re-parsed session tree of %s or whole-module tree of %s differs from the tree of a whole-module parse\nsource: %q", i, g.Name(), w.Name(), src)
 		}
 		if g.model.Fingerprint() != w.model.Fingerprint() {
 			t.Fatalf("class %d (%s): model fingerprints differ\nsource: %q", i, w.Name(), src)
@@ -372,9 +382,9 @@ func FuzzSessionParseMatchesWhole(f *testing.F) {
 
 // TestSessionReusesUnchangedClasses pins the incremental frontend: after
 // a one-method edit of the 13-class edit-loop module, the twelve
-// unchanged classes keep their models (and syntax trees) from the
-// previous generation, pointer for pointer; only the edited class is
-// parsed and modeled again.
+// unchanged classes keep their models from the previous generation,
+// pointer for pointer; only the edited class is parsed and modeled
+// again.
 func TestSessionReusesUnchangedClasses(t *testing.T) {
 	ctx := context.Background()
 	s := NewSession()
@@ -394,7 +404,7 @@ func TestSessionReusesUnchangedClasses(t *testing.T) {
 		t.Fatalf("class counts %d, %d, want 13", len(bc), len(ac))
 	}
 	for i := range ac {
-		reused := ac[i].model == bc[i].model && ac[i].ast == bc[i].ast
+		reused := ac[i].model == bc[i].model
 		if want := ac[i].Name() != "Ctl5"; reused != want {
 			t.Errorf("class %s: reused = %v, want %v", ac[i].Name(), reused, want)
 		}
@@ -406,22 +416,15 @@ func TestSessionReusesUnchangedClasses(t *testing.T) {
 // the one below it (whose positions moved) are parsed again, and the
 // round's reports are byte-identical to a cold LoadSource + CheckAll.
 func TestSessionReparsesShiftedClasses(t *testing.T) {
-	var src strings.Builder
-	for _, f := range []string{"valve.py", "badsector.py", "goodsector.py"} {
-		b, err := os.ReadFile(filepath.Join("testdata", f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Write(b)
-	}
-	edited := strings.Replace(src.String(), "class BadSector:\n", "class BadSector:\n    # an inserted line\n", 1)
-	if edited == src.String() {
+	src := paperSource(t)
+	edited := strings.Replace(src, "class BadSector:\n", "class BadSector:\n    # an inserted line\n", 1)
+	if edited == src {
 		t.Fatal("edit did not apply")
 	}
 
 	ctx := context.Background()
 	s := NewSession()
-	first, err := s.Recheck(ctx, "v1", []byte(src.String()))
+	first, err := s.Recheck(ctx, "v1", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,9 @@ func (c *Cache) LoadSource(ctx context.Context, name, src string) (*Module, erro
 // then built block by block, reusing every block of prev with the same
 // start line and bytes, and the new generation's blocks are returned.
 // Otherwise the whole source (text, or a copy of src) is parsed at
-// once, so errors and their positions are those of ParseModule.
+// once, so errors and their positions are those of ParseModule. The
+// syntax trees die with the load: each class keeps its model and the
+// text it was parsed from, the whole source or its block.
 func (c *Cache) load(ctx context.Context, name string, src []byte, text string, prev classBlocks) (_ *Module, _ classBlocks, err error) {
 	_, span := obs.Start(ctx, "load.module", obs.String("source", name))
 	defer func() {
@@ -222,12 +224,12 @@ func (c *Cache) load(ctx context.Context, name string, src []byte, text string, 
 		return nil, nil, loadErr(name, err)
 	}
 	m := c.newModule()
-	for _, cls := range ast.Classes {
+	for i, cls := range ast.Classes {
 		mc, err := model.FromAST(cls)
 		if err != nil {
 			return nil, nil, loadErr(name, err)
 		}
-		m.add(cls, mc)
+		m.add(mc, text, 1, i)
 	}
 	span.SetAttr(obs.Int("classes", len(m.classes)))
 	return m, nil, nil
@@ -236,11 +238,12 @@ func (c *Cache) load(ctx context.Context, name string, src []byte, text string, 
 // newModule returns an empty module bound to c.
 func (c *Cache) newModule() *Module { return &Module{registry: check.Registry{}, cache: c.pc} }
 
-// add appends a parsed and modeled class to the module; a later class
-// of the same name takes over the registry entry.
-func (m *Module) add(ast *pyast.ClassDef, mc *model.Class) {
+// add appends a modeled class to the module: the index-th class of src,
+// a source that starts at line; a later class of the same name takes
+// over the registry entry.
+func (m *Module) add(mc *model.Class, src string, line, index int) {
 	m.registry[mc.Name] = mc
-	m.classes = append(m.classes, &Class{model: mc, ast: ast, module: m})
+	m.classes = append(m.classes, &Class{model: mc, src: src, line: line, index: index, module: m})
 }
 
 // loadErr wraps a load failure, labeling it with the source name when
@@ -335,10 +338,15 @@ func (m *Module) CheckAll() ([]*Report, error) {
 }
 
 // Class is the Shelley model of one annotated class, bound to its
-// module for subsystem resolution.
+// module for subsystem resolution. It keeps no syntax tree: the checks
+// read only the model, and NewDevice re-parses the class from src, the
+// source it was loaded from (the model's strings slice it already), in
+// which it is class number index and which starts at line.
 type Class struct {
 	model  *model.Class
-	ast    *pyast.ClassDef
+	src    string
+	line   int
+	index  int
 	module *Module
 }
 
@@ -503,7 +511,20 @@ func (c *Class) NewDevice(board *Board) (*Device, error) {
 	if len(c.model.SubsystemNames) > 0 {
 		return nil, fmt.Errorf("shelley: %s is a composite; NewDevice runs base classes (use NewSystem)", c.Name())
 	}
-	return pyexec.NewObject(c.ast, pyexec.NewEnv(board))
+	cls, err := c.classDef()
+	if err != nil {
+		return nil, err
+	}
+	return pyexec.NewObject(cls, pyexec.NewEnv(board))
+}
+
+// classDef re-parses the class's syntax tree from its source.
+func (c *Class) classDef() (*pyast.ClassDef, error) {
+	mod, err := pyparse.ParseModuleAt(c.src, c.line)
+	if err != nil {
+		return nil, fmt.Errorf("shelley: %w", err)
+	}
+	return mod.Classes[c.index], nil
 }
 
 // FlattenedDFA returns the class's behavior automaton over subsystem
