@@ -168,7 +168,7 @@ func benchProgram() ir.Program {
 	return ir.NewLoop(ir.NewSeq(
 		ir.NewCall("a"),
 		ir.NewIf(
-			ir.NewSeq(ir.NewCall("b"), ir.NewReturn()),
+			ir.NewSeq(ir.NewCall("b"), ir.Return{}),
 			ir.NewCall("c"),
 		),
 	))

@@ -1,10 +1,10 @@
 // Command shelleyviz renders the diagrams of the paper as Graphviz DOT:
 // the Fig. 1-style protocol diagram, the Fig. 3-style method dependency
-// graph, and the specification DFA.
+// graph, the specification DFA, and a composite's flattened behavior DFA.
 //
 // Usage:
 //
-//	shelleyviz -class NAME [-kind protocol|deps|spec] FILE.py [FILE.py ...]
+//	shelleyviz -class NAME [-kind protocol|deps|spec|flat] FILE.py [FILE.py ...]
 //
 // The DOT document is written to stdout; pipe it to `dot -Tsvg` to
 // produce an image.
@@ -35,7 +35,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("no input files (usage: shelleyviz -class NAME [-kind protocol|deps|spec] FILE.py ...)")
+		return fmt.Errorf("no input files (usage: shelleyviz -class NAME [-kind protocol|deps|spec|flat] FILE.py ...)")
 	}
 	if *className == "" {
 		return fmt.Errorf("-class is required")

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/shelley-go/shelley/internal/ltlf"
 )
 
 // Golden-file tests pin the exact rendered artifacts (DOT diagrams and
@@ -99,4 +101,55 @@ func TestGoldenSectorDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGolden(t, "sector_deps.dot", dep)
+}
+
+// TestExportNuSMVReportsMalformedClaim: a claim that does not parse
+// fails the export with the claim's text and the parser's error.
+func TestExportNuSMVReportsMalformedClaim(t *testing.T) {
+	m, err := LoadSource(`
+@sys
+class Lamp:
+    @op_initial_final
+    def on(self):
+        return ["on"]
+
+@sys(["l"])
+@claim("((")
+class Room:
+    def __init__(self):
+        self.l = Lamp()
+
+    @op_initial_final
+    def light(self):
+        self.l.on()
+        return ["light"]
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	room, _ := m.Class("Room")
+	_, err = room.ExportNuSMV()
+	_, perr := ltlf.Parse("((")
+	if err == nil || perr == nil || err.Error() != `nusmv: claim "((": `+perr.Error() {
+		t.Fatalf("ExportNuSMV error = %v, want nusmv: claim \"((\": %v", err, perr)
+	}
+}
+
+// TestExportNuSMVParsesClaimsOnce: the export reads the formulas the
+// model memoized, so after the first export a claim's text is not read
+// again (here it is overwritten with a malformed one).
+func TestExportNuSMVParsesClaimsOnce(t *testing.T) {
+	m := loadPaper(t)
+	bad, _ := m.Class("BadSector")
+	first, err := bad.ExportNuSMV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bad.model.Claims {
+		bad.model.Claims[i].Formula = "(("
+	}
+	second, err := bad.ExportNuSMV()
+	if err != nil || second != first {
+		t.Fatalf("second export = %v, differs from the first: %v", err, second != first)
+	}
 }

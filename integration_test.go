@@ -324,7 +324,9 @@ func TestConcreteCompositeTraceInStaticModel(t *testing.T) {
 	for run := 0; run < 50; run++ {
 		board := hwNewBoard()
 		env := pyexecNewEnv(board)
-		env.RegisterModule(ast)
+		for _, cls := range ast.Classes {
+			env.RegisterClass(cls)
+		}
 		var sectorAST = ast.Classes[1]
 		obj, err := pyexecNewObject(sectorAST, env)
 		if err != nil {

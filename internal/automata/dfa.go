@@ -200,12 +200,6 @@ func (d *DFA) Complement() *DFA {
 	return out
 }
 
-// IsEmpty reports whether the accepted language is empty.
-func (d *DFA) IsEmpty() bool {
-	_, ok := d.ShortestAccepted()
-	return !ok
-}
-
 // ShortestAccepted returns a shortest accepted trace and true, or nil and
 // false when the language is empty. Among shortest traces it returns the
 // one over the lexicographically least symbols (the alphabet is sorted

@@ -30,6 +30,82 @@ type flatEdge struct {
 	op  string // composite operation entered, for ε boundary edges
 }
 
+// flatBuilder grows a flat automaton under the flatten gate. The
+// substitution allocates one copy of a behavior automaton per protocol
+// edge; each factor is individually bounded by construction budgets,
+// but their product is not, so the flat state count gets its own gate.
+type flatBuilder struct {
+	f    *flatAutomaton
+	gate *budget.Gate
+	err  error // the first gate error
+}
+
+func newFlatBuilder(cfg config, alphabet []string) *flatBuilder {
+	return &flatBuilder{f: &flatAutomaton{alphabet: alphabet}, gate: budget.NFAGate(cfg.ctx, "flatten")}
+}
+
+func (b *flatBuilder) addState(accepting bool) int {
+	if b.err == nil {
+		b.err = b.gate.Tick()
+	}
+	b.f.edges = append(b.f.edges, nil)
+	b.f.accept = append(b.f.accept, accepting)
+	return len(b.f.edges) - 1
+}
+
+// behaviorCopy is a behavior DFA to splice, with the number of flat
+// edges one copy of it has.
+type behaviorCopy struct {
+	dfa   *automata.DFA
+	edges int
+}
+
+func newBehaviorCopy(d *automata.DFA) behaviorCopy {
+	edges := 0
+	for s := 0; s < d.NumStates(); s++ {
+		for _, sym := range d.Alphabet() {
+			if d.Target(s, sym) >= 0 {
+				edges++
+			}
+		}
+		if d.Accepting(s) {
+			edges++
+		}
+	}
+	return behaviorCopy{d, edges}
+}
+
+// splice substitutes a fresh copy of a behavior automaton for an edge
+// from → to: an ε-edge carrying op enters the copy's start state, and
+// every accepting state of the copy leaves by an ε-edge to to. The
+// copy's nodes are consecutive and share one edge array.
+func (b *flatBuilder) splice(from, to int, op string, c behaviorCopy) {
+	d := c.dfa
+	if d.NumStates() == 0 {
+		return
+	}
+	base := len(b.f.edges)
+	for s := 0; s < d.NumStates(); s++ {
+		b.addState(false)
+	}
+	b.f.edges[from] = append(b.f.edges[from], flatEdge{to: base + d.Start(), op: op})
+	edges := make([]flatEdge, 0, c.edges)
+	for s := 0; s < d.NumStates(); s++ {
+		first := len(edges)
+		for _, sym := range d.Alphabet() {
+			if t := d.Target(s, sym); t >= 0 {
+				edges = append(edges, flatEdge{to: base + t, sym: sym})
+			}
+		}
+		if d.Accepting(s) {
+			edges = append(edges, flatEdge{to: to})
+		}
+		if len(edges) > first {
+			b.f.edges[base+s] = edges[first:len(edges):len(edges)]
+		}
+	}
+}
+
 // flatten builds the flat automaton of a composite class.
 func flatten(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, error) {
 	protocol, err := cfg.specDFA(c, "")
@@ -37,46 +113,14 @@ func flatten(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, err
 		return nil, err
 	}
 
-	// The substitution allocates |protocol transitions| copies of the
-	// operations' behavior automata; each factor is individually bounded
-	// by construction budgets, but their product is not, so the flat
-	// state count gets its own gate.
-	gate := budget.NFAGate(cfg.ctx, "flatten")
-	var gateErr error
-	f := &flatAutomaton{alphabet: alphabet}
-	addState := func(accepting bool) int {
-		if gateErr == nil {
-			gateErr = gate.Tick()
-		}
-		f.edges = append(f.edges, nil)
-		f.accept = append(f.accept, accepting)
-		return len(f.edges) - 1
-	}
-
-	// Behavior DFA per operation, built (or cache-retrieved) once, with
-	// the number of flat edges one copy of it has.
-	type opBehavior struct {
-		dfa   *automata.DFA
-		edges int
-	}
-	behavior := make(map[string]opBehavior, len(c.Operations))
+	// Behavior DFA per operation, built (or cache-retrieved) once.
+	behavior := make(map[string]behaviorCopy, len(c.Operations))
 	for _, op := range c.Operations {
 		b, err := cfg.behaviorDFA(op.Method.Program)
 		if err != nil {
 			return nil, err
 		}
-		edges := 0
-		for s := 0; s < b.NumStates(); s++ {
-			for _, sym := range b.Alphabet() {
-				if b.Target(s, sym) >= 0 {
-					edges++
-				}
-			}
-			if b.Accepting(s) {
-				edges++
-			}
-		}
-		behavior[op.Name] = opBehavior{b, edges}
+		behavior[op.Name] = newBehaviorCopy(b)
 	}
 
 	// Size the node arrays for one node per protocol state plus one per
@@ -91,57 +135,32 @@ func flatten(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, err
 		}
 	}
 	nodes = min(nodes, 1<<12)
+	fb := newFlatBuilder(cfg, alphabet)
+	f := fb.f
 	f.edges = make([][]flatEdge, 0, nodes)
 	f.accept = make([]bool, 0, nodes)
 
 	// One node per protocol state.
 	protoNode := make([]int, protocol.NumStates())
 	for p := 0; p < protocol.NumStates(); p++ {
-		protoNode[p] = addState(protocol.Accepting(p))
+		protoNode[p] = fb.addState(protocol.Accepting(p))
 	}
 	f.start = protoNode[protocol.Start()]
 
 	// Substitute each protocol transition p --m--> q with a copy of
-	// behavior(m) bracketed by ε-edges. A copy's nodes are consecutive,
-	// from base, and share one edge array.
+	// behavior(m).
 	for p := 0; p < protocol.NumStates(); p++ {
-		if gateErr != nil {
-			return nil, gateErr
+		if fb.err != nil {
+			return nil, fb.err
 		}
 		for _, op := range c.Operations {
-			q := protocol.Target(p, op.Name)
-			if q < 0 {
-				continue
-			}
-			b := behavior[op.Name].dfa
-			if b.NumStates() == 0 {
-				continue
-			}
-			base := len(f.edges)
-			for s := 0; s < b.NumStates(); s++ {
-				addState(false)
-			}
-			f.edges[protoNode[p]] = append(f.edges[protoNode[p]], flatEdge{
-				to: base + b.Start(),
-				op: op.Name,
-			})
-			edges := make([]flatEdge, 0, behavior[op.Name].edges)
-			for s := 0; s < b.NumStates(); s++ {
-				from := len(edges)
-				for _, sym := range b.Alphabet() {
-					if t := b.Target(s, sym); t >= 0 {
-						edges = append(edges, flatEdge{to: base + t, sym: sym})
-					}
-				}
-				if b.Accepting(s) {
-					edges = append(edges, flatEdge{to: protoNode[q]})
-				}
-				f.edges[base+s] = edges[from:len(edges):len(edges)]
+			if q := protocol.Target(p, op.Name); q >= 0 {
+				fb.splice(protoNode[p], protoNode[q], op.Name, behavior[op.Name])
 			}
 		}
 	}
-	if gateErr != nil {
-		return nil, gateErr
+	if fb.err != nil {
+		return nil, fb.err
 	}
 	return f, nil
 }

@@ -3,8 +3,6 @@ package check
 import (
 	"context"
 
-	"github.com/shelley-go/shelley/internal/automata"
-	"github.com/shelley-go/shelley/internal/budget"
 	"github.com/shelley-go/shelley/internal/core"
 	"github.com/shelley-go/shelley/internal/model"
 	"github.com/shelley-go/shelley/internal/pipeline"
@@ -64,26 +62,15 @@ func buildConfig(opts []Option) config {
 func flattenExitAware(cfg config, c *model.Class, alphabet []string) (*flatAutomaton, error) {
 	// Like flatten, the per-exit substitution multiplies protocol edges
 	// by behavior copies, so the flat state count is gated.
-	gate := budget.NFAGate(cfg.ctx, "flatten")
-	var gateErr error
-	f := &flatAutomaton{alphabet: alphabet}
-	addState := func(accepting bool) int {
-		if gateErr == nil {
-			gateErr = gate.Tick()
-		}
-		f.edges = append(f.edges, nil)
-		f.accept = append(f.accept, accepting)
-		return len(f.edges) - 1
-	}
-
-	start := addState(true) // never using the composite is valid
-	f.start = start
+	fb := newFlatBuilder(cfg, alphabet)
+	start := fb.addState(true) // never using the composite is valid
+	fb.f.start = start
 
 	// Per-operation refinement and per-(op, exit) states.
 	type exitInfo struct {
 		state    int
 		next     []string
-		behavior *automata.DFA
+		behavior behaviorCopy
 	}
 	exitsOf := make(map[string][]exitInfo, len(c.Operations))
 	for _, op := range c.Operations {
@@ -99,9 +86,9 @@ func flattenExitAware(cfg config, c *model.Class, alphabet []string) (*flatAutom
 				return nil, err
 			}
 			infos = append(infos, exitInfo{
-				state:    addState(op.Final),
+				state:    fb.addState(op.Final),
 				next:     e.Next,
-				behavior: b,
+				behavior: newBehaviorCopy(b),
 			})
 		}
 		if !regex.IsEmptyLanguage(regex.Simplify(fine.Ongoing)) {
@@ -113,8 +100,8 @@ func flattenExitAware(cfg config, c *model.Class, alphabet []string) (*flatAutom
 				return nil, err
 			}
 			infos = append(infos, exitInfo{
-				state:    addState(op.Final),
-				behavior: b,
+				state:    fb.addState(op.Final),
+				behavior: newBehaviorCopy(b),
 			})
 		}
 		exitsOf[op.Name] = infos
@@ -123,29 +110,11 @@ func flattenExitAware(cfg config, c *model.Class, alphabet []string) (*flatAutom
 	// connect wires source state s to every exit of operation n through
 	// a fresh copy of that exit's behavior automaton.
 	connect := func(s int, opName string) {
-		if gateErr != nil {
+		if fb.err != nil {
 			return
 		}
 		for _, info := range exitsOf[opName] {
-			b := info.behavior
-			copyNode := make([]int, b.NumStates())
-			for i := 0; i < b.NumStates(); i++ {
-				copyNode[i] = addState(false)
-			}
-			f.edges[s] = append(f.edges[s], flatEdge{to: copyNode[b.Start()], op: opName})
-			for i := 0; i < b.NumStates(); i++ {
-				for _, sym := range b.Alphabet() {
-					if t := b.Target(i, sym); t >= 0 {
-						f.edges[copyNode[i]] = append(f.edges[copyNode[i]], flatEdge{
-							to:  copyNode[t],
-							sym: sym,
-						})
-					}
-				}
-				if b.Accepting(i) {
-					f.edges[copyNode[i]] = append(f.edges[copyNode[i]], flatEdge{to: info.state})
-				}
-			}
+			fb.splice(s, info.state, opName, info.behavior)
 		}
 	}
 
@@ -169,10 +138,10 @@ func flattenExitAware(cfg config, c *model.Class, alphabet []string) (*flatAutom
 			}
 		}
 	}
-	if gateErr != nil {
-		return nil, gateErr
+	if fb.err != nil {
+		return nil, fb.err
 	}
-	return f, nil
+	return fb.f, nil
 }
 
 // flattenWith picks the flattening mode.

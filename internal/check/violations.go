@@ -9,7 +9,7 @@ import (
 )
 
 // Violation is one invalid complete usage of a composite found by
-// UsageViolations.
+// UsageViolationsContext.
 type Violation struct {
 	// Subsystem is the field whose protocol the trace violates.
 	Subsystem string
@@ -18,20 +18,14 @@ type Violation struct {
 	Trace []string
 }
 
-// UsageViolations enumerates up to max distinct violating complete
-// usages per subsystem, shortest first (breadth-first over the product
-// automaton, alphabet-ordered, so the output is deterministic). It is
-// the tooling counterpart of Check's single-counterexample diagnostic:
-// IDE integrations and reports can show several distinct failures at
-// once. It runs without a budget; see UsageViolationsContext.
-func UsageViolations(c *model.Class, reg Registry, max int, opts ...Option) ([]Violation, error) {
-	return UsageViolationsContext(context.Background(), c, reg, max, opts...)
-}
-
-// UsageViolationsContext is UsageViolations under ctx's resource budget
-// and cancellation, like CheckContext: flattening and determinization
-// are bounded as in a check, and each product search by
-// MaxSearchNodes.
+// UsageViolationsContext enumerates up to max distinct violating
+// complete usages per subsystem, shortest first (breadth-first over the
+// product automaton, alphabet-ordered, so the output is deterministic).
+// It is the tooling counterpart of Check's single-counterexample
+// diagnostic: IDE integrations and reports can show several distinct
+// failures at once. It runs under ctx's resource budget and
+// cancellation, like CheckContext: flattening and determinization are
+// bounded as in a check, and each product search by MaxSearchNodes.
 func UsageViolationsContext(ctx context.Context, c *model.Class, reg Registry, max int, opts ...Option) ([]Violation, error) {
 	if len(c.SubsystemNames) == 0 || max <= 0 {
 		return nil, nil

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func TestUsageViolationsEnumerates(t *testing.T) {
 	reg, _, bad := paperRegistry(t)
-	vs, err := UsageViolations(bad, reg, 3)
+	vs, err := UsageViolationsContext(context.Background(), bad, reg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestUsageViolationsEnumerates(t *testing.T) {
 
 func TestUsageViolationsRespectsMax(t *testing.T) {
 	reg, _, bad := paperRegistry(t)
-	one, err := UsageViolations(bad, reg, 1)
+	one, err := UsageViolationsContext(context.Background(), bad, reg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestUsageViolationsRespectsMax(t *testing.T) {
 	if len(one) != 1 {
 		t.Errorf("violations = %d, want 1", len(one))
 	}
-	none, err := UsageViolations(bad, reg, 0)
+	none, err := UsageViolationsContext(context.Background(), bad, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestUsageViolationsCleanClass(t *testing.T) {
 	valve := classFrom(t, readTestdata(t, "valve.py"), "Valve")
 	good := classFrom(t, readTestdata(t, "goodsector.py"), "GoodSector")
 	reg := NewRegistry(valve, good)
-	vs, err := UsageViolations(good, reg, 5)
+	vs, err := UsageViolationsContext(context.Background(), good, reg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestUsageViolationsCleanClass(t *testing.T) {
 		t.Errorf("GoodSector should have no violations: %+v", vs)
 	}
 	// Base classes have no subsystems to violate.
-	vs, err = UsageViolations(valve, reg, 5)
+	vs, err = UsageViolationsContext(context.Background(), valve, reg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,12 +90,6 @@ func Infer(p ir.Program) regex.Regex {
 	return res.Merge()
 }
 
-// InferSimplified is Infer followed by normalization. The two results
-// denote the same language (regex.Simplify is language-preserving).
-func InferSimplified(p ir.Program) regex.Regex {
-	return regex.Simplify(Infer(p))
-}
-
 // Merge folds the pair (r, s) into the single expression infer returns.
 func (res Result) Merge() regex.Regex {
 	parts := make([]regex.Regex, 0, 1+len(res.Returned))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/shelley-go/shelley/internal/ir"
 	"github.com/shelley-go/shelley/internal/regex"
 )
@@ -27,16 +25,6 @@ type PerExitResult struct {
 	// a loop contributes one entry whose expression covers every number
 	// of prior iterations.
 	ByExit map[int]regex.Regex
-}
-
-// ExitIDs returns the exit IDs present, sorted.
-func (r PerExitResult) ExitIDs() []int {
-	out := make([]int, 0, len(r.ByExit))
-	for id := range r.ByExit {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ExtractPerExit computes the per-exit refinement of ⟦p⟧. The recursion
@@ -103,15 +91,4 @@ func (r *PerExitResult) add(id int, expr regex.Regex) {
 		return
 	}
 	r.ByExit[id] = expr
-}
-
-// MergedReturns is the union over all exits — the language of the
-// paper's s component.
-func (r PerExitResult) MergedReturns() regex.Regex {
-	parts := make([]regex.Regex, 0, len(r.ByExit)+1)
-	parts = append(parts, regex.Empty())
-	for _, id := range r.ExitIDs() {
-		parts = append(parts, r.ByExit[id])
-	}
-	return regex.Union(parts...)
 }

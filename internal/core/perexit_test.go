@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/shelley-go/shelley/internal/ir"
@@ -21,13 +22,13 @@ func TestExtractPerExitBasics(t *testing.T) {
 	if !regex.IsEmptyLanguage(res.Ongoing) {
 		t.Errorf("ongoing = %v, want empty (both branches return)", res.Ongoing)
 	}
-	if got := res.ExitIDs(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	if got := exitIDs(res); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("exit ids = %v", got)
 	}
-	if !regex.Equivalent(res.ByExit[0], regex.Symbols("a", "b")) {
+	if !regex.Equivalent(res.ByExit[0], regex.MustParse("a . b")) {
 		t.Errorf("exit 0 = %v, want a·b", res.ByExit[0])
 	}
-	if !regex.Equivalent(res.ByExit[1], regex.Symbols("a", "c")) {
+	if !regex.Equivalent(res.ByExit[1], regex.MustParse("a . c")) {
 		t.Errorf("exit 1 = %v, want a·c", res.ByExit[1])
 	}
 }
@@ -57,7 +58,7 @@ func TestExtractPerExitSameExitMultiplePaths(t *testing.T) {
 	)
 	res := ExtractPerExit(p)
 	if len(res.ByExit) != 1 {
-		t.Fatalf("exits = %v", res.ExitIDs())
+		t.Fatalf("exits = %v", exitIDs(res))
 	}
 	if !regex.Equivalent(res.ByExit[0], regex.MustParse("a + b")) {
 		t.Errorf("exit 0 = %v", res.ByExit[0])
@@ -79,8 +80,8 @@ func TestPerExitRefinesExtract(t *testing.T) {
 			t.Fatalf("program %v: ongoing differs: %v vs %v", p, coarse.Ongoing, fine.Ongoing)
 		}
 		merged := regex.RawAlts(append([]regex.Regex{regex.Empty()}, coarse.Returned...)...)
-		if !regex.Equivalent(merged, fine.MergedReturns()) {
-			t.Fatalf("program %v: merged returns differ: %v vs %v", p, merged, fine.MergedReturns())
+		if !regex.Equivalent(merged, mergedReturns(fine)) {
+			t.Fatalf("program %v: merged returns differ: %v vs %v", p, merged, mergedReturns(fine))
 		}
 	}
 }
@@ -110,4 +111,25 @@ func randomWithExitIDs(rng *rand.Rand, depth int) ir.Program {
 		}
 	}
 	return renumber(p)
+}
+
+// mergedReturns is the union over all exits — the language of the
+// paper's s component.
+func mergedReturns(r PerExitResult) regex.Regex {
+	parts := make([]regex.Regex, 0, len(r.ByExit)+1)
+	parts = append(parts, regex.Empty())
+	for _, id := range exitIDs(r) {
+		parts = append(parts, r.ByExit[id])
+	}
+	return regex.Union(parts...)
+}
+
+// exitIDs returns the exit IDs present, sorted.
+func exitIDs(r PerExitResult) []int {
+	out := make([]int, 0, len(r.ByExit))
+	for id := range r.ByExit {
+		out = append(out, id)
+	}
+	sort.Ints(out)
+	return out
 }

@@ -26,20 +26,20 @@ func interestingPrograms() []ir.Program {
 	return []ir.Program{
 		paperExample(),
 		ir.NewSkip(),
-		ir.NewReturn(),
+		ir.Return{},
 		ir.NewCall("a"),
 		ir.NewSeq(ir.NewCall("a"), ir.NewCall("b")),
-		ir.NewSeq(ir.NewCall("a"), ir.NewReturn(), ir.NewCall("b")),
-		ir.NewSeq(ir.NewReturn(), ir.NewReturn()),
-		ir.NewIf(ir.NewReturn(), ir.NewSkip()),
-		ir.NewIf(ir.NewSeq(ir.NewCall("a"), ir.NewReturn()), ir.NewCall("a")),
+		ir.NewSeq(ir.NewCall("a"), ir.Return{}, ir.NewCall("b")),
+		ir.NewSeq(ir.Return{}, ir.Return{}),
+		ir.NewIf(ir.Return{}, ir.NewSkip()),
+		ir.NewIf(ir.NewSeq(ir.NewCall("a"), ir.Return{}), ir.NewCall("a")),
 		ir.NewLoop(ir.NewSkip()),
-		ir.NewLoop(ir.NewReturn()),
+		ir.NewLoop(ir.Return{}),
 		ir.NewLoop(ir.NewCall("a")),
-		ir.NewLoop(ir.NewIf(ir.NewReturn(), ir.NewCall("a"))),
+		ir.NewLoop(ir.NewIf(ir.Return{}, ir.NewCall("a"))),
 		ir.NewLoop(ir.NewLoop(ir.NewCall("a"))),
-		ir.NewLoop(ir.NewSeq(ir.NewCall("a"), ir.NewLoop(ir.NewIf(ir.NewCall("b"), ir.NewReturn())))),
-		ir.NewSeq(ir.NewLoop(ir.NewCall("a")), ir.NewIf(ir.NewReturn(), ir.NewCall("b")), ir.NewCall("c")),
+		ir.NewLoop(ir.NewSeq(ir.NewCall("a"), ir.NewLoop(ir.NewIf(ir.NewCall("b"), ir.Return{})))),
+		ir.NewSeq(ir.NewLoop(ir.NewCall("a")), ir.NewIf(ir.Return{}, ir.NewCall("b")), ir.NewCall("c")),
 	}
 }
 

@@ -100,75 +100,6 @@ func (g *Graph) Node(id int) Node { return g.nodes[id] }
 // mutate the returned slice.
 func (g *Graph) Methods() []string { return g.methods }
 
-// EntryNode returns the entry node id of the method and whether it
-// exists.
-func (g *Graph) EntryNode(method string) (int, bool) {
-	id, ok := g.entries[method]
-	return id, ok
-}
-
-// ExitNodes returns the exit node ids of the method in return order.
-func (g *Graph) ExitNodes(method string) []int {
-	entry, ok := g.entries[method]
-	if !ok {
-		return nil
-	}
-	return g.adj[entry]
-}
-
-// Successors returns the node ids reachable in one step from id. The
-// caller must not mutate the returned slice.
-func (g *Graph) Successors(id int) []int { return g.adj[id] }
-
-// NextMethods returns the union of methods allowed after the given
-// method (over all its exits), sorted.
-func (g *Graph) NextMethods(method string) []string {
-	set := make(map[string]struct{})
-	for _, exit := range g.ExitNodes(method) {
-		for _, succ := range g.adj[exit] {
-			set[g.nodes[succ].Method] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ReachableFrom returns the method names reachable (by any path) from the
-// entry nodes of the given methods, including those methods themselves,
-// sorted.
-func (g *Graph) ReachableFrom(methods []string) []string {
-	seen := make(map[int]struct{})
-	var stack []int
-	for _, m := range methods {
-		if id, ok := g.entries[m]; ok {
-			stack = append(stack, id)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		stack = append(stack, g.adj[id]...)
-	}
-	methodsOut := make(map[string]struct{})
-	for id := range seen {
-		methodsOut[g.nodes[id].Method] = struct{}{}
-	}
-	out := make([]string, 0, len(methodsOut))
-	for m := range methodsOut {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ClassGraph is the class-level companion of the method graph, used by
 // incremental re-verification to propagate invalidation between module
 // generations: an arc runs from every composite class to each class it

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/shelley-go/shelley/internal/lower"
@@ -49,12 +50,12 @@ func TestFig3SectorGraph(t *testing.T) {
 	}
 
 	// Entry of open_a links to its two exits.
-	exits := g.ExitNodes("open_a")
+	exits := exitNodes(g, "open_a")
 	if len(exits) != 2 {
 		t.Fatalf("open_a exits = %v", exits)
 	}
 	// Exit A returns ["close_a", "open_b"]: links to both entries.
-	succA := g.Successors(exits[0])
+	succA := g.adj[exits[0]]
 	if len(succA) != 2 {
 		t.Fatalf("exit A successors = %v", succA)
 	}
@@ -62,26 +63,26 @@ func TestFig3SectorGraph(t *testing.T) {
 		t.Errorf("exit A targets = %v, %v", g.Node(succA[0]), g.Node(succA[1]))
 	}
 	// Exit B returns ["clean_a"].
-	succB := g.Successors(exits[1])
+	succB := g.adj[exits[1]]
 	if len(succB) != 1 || g.Node(succB[0]).Method != "clean_a" {
 		t.Errorf("exit B successors = %v", succB)
 	}
 
 	// open_b's exits both return []: no successors.
-	for _, e := range g.ExitNodes("open_b") {
-		if len(g.Successors(e)) != 0 {
+	for _, e := range exitNodes(g, "open_b") {
+		if len(g.adj[e]) != 0 {
 			t.Errorf("open_b exit %d has successors", e)
 		}
 	}
 
 	// Union next relation (the op-level edges of Fig. 3).
-	if got := g.NextMethods("open_a"); !reflect.DeepEqual(got, []string{"clean_a", "close_a", "open_b"}) {
+	if got := nextMethods(g, "open_a"); !reflect.DeepEqual(got, []string{"clean_a", "close_a", "open_b"}) {
 		t.Errorf("NextMethods(open_a) = %v", got)
 	}
-	if got := g.NextMethods("clean_a"); !reflect.DeepEqual(got, []string{"open_a"}) {
+	if got := nextMethods(g, "clean_a"); !reflect.DeepEqual(got, []string{"open_a"}) {
 		t.Errorf("NextMethods(clean_a) = %v", got)
 	}
-	if got := g.NextMethods("open_b"); len(got) != 0 {
+	if got := nextMethods(g, "open_b"); len(got) != 0 {
 		t.Errorf("NextMethods(open_b) = %v", got)
 	}
 }
@@ -91,38 +92,22 @@ func TestEntryAndLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, ok := g.EntryNode("open_a")
+	id, ok := g.entries["open_a"]
 	if !ok {
 		t.Fatal("open_a entry missing")
 	}
 	if got := g.Node(id).Label(); got != "open_a" {
 		t.Errorf("entry label = %q", got)
 	}
-	exit0 := g.ExitNodes("open_a")[0]
+	exit0 := exitNodes(g, "open_a")[0]
 	if got := g.Node(exit0).Label(); got != "open_a/exit0" {
 		t.Errorf("exit label = %q", got)
 	}
-	if _, ok := g.EntryNode("nope"); ok {
-		t.Error("EntryNode(nope) should be false")
+	if _, ok := g.entries["nope"]; ok {
+		t.Error("entry of nope should not exist")
 	}
-	if exits := g.ExitNodes("nope"); exits != nil {
-		t.Error("ExitNodes(nope) should be nil")
-	}
-}
-
-func TestReachableFrom(t *testing.T) {
-	g, err := Build(sectorMethods(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := g.ReachableFrom([]string{"clean_a"})
-	// clean_a → open_a → {close_a, open_b, clean_a} → all.
-	want := []string{"clean_a", "close_a", "open_a", "open_b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReachableFrom = %v, want %v", got, want)
-	}
-	if got := g.ReachableFrom([]string{"open_b"}); !reflect.DeepEqual(got, []string{"open_b"}) {
-		t.Errorf("ReachableFrom(open_b) = %v", got)
+	if exits := exitNodes(g, "nope"); exits != nil {
+		t.Error("exitNodes(nope) should be nil")
 	}
 }
 
@@ -212,4 +197,30 @@ func TestClassGraphDependents(t *testing.T) {
 			t.Errorf("Dependents(%v) = %v, want %v", tc.changed, got, tc.want)
 		}
 	}
+}
+
+// nextMethods returns the union of methods allowed after the given
+// method (over all its exits), sorted.
+func nextMethods(g *Graph, method string) []string {
+	set := make(map[string]struct{})
+	for _, exit := range exitNodes(g, method) {
+		for _, succ := range g.adj[exit] {
+			set[g.nodes[succ].Method] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for m := range set {
+		out = append(out, m)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// exitNodes returns the exit node ids of the method in return order.
+func exitNodes(g *Graph, method string) []int {
+	entry, ok := g.entries[method]
+	if !ok {
+		return nil
+	}
+	return g.adj[entry]
 }

@@ -54,28 +54,6 @@ func NewRandomChoice(seed int64) *RandomChoice {
 // Choose implements Chooser.
 func (r *RandomChoice) Choose(n int) int { return r.rng.Intn(n) }
 
-// ScriptedChoice replays a fixed decision sequence, then falls back to
-// zero. It makes executions fully reproducible in tests and examples.
-type ScriptedChoice struct {
-	script []int
-	pos    int
-}
-
-// NewScriptedChoice returns a chooser that replays script.
-func NewScriptedChoice(script ...int) *ScriptedChoice {
-	return &ScriptedChoice{script: script}
-}
-
-// Choose implements Chooser.
-func (s *ScriptedChoice) Choose(n int) int {
-	if s.pos >= len(s.script) {
-		return 0
-	}
-	v := s.script[s.pos] % n
-	s.pos++
-	return v
-}
-
 // ProtocolError reports a call that the object's protocol forbids; it is
 // the runtime manifestation of the bugs Shelley catches statically.
 type ProtocolError struct {
@@ -115,7 +93,6 @@ type Option func(*options)
 type options struct {
 	chooser Chooser
 	angelic bool
-	maxIter int
 }
 
 // WithChooser sets the nondeterminism resolver (default FirstChoice).
@@ -124,12 +101,8 @@ func WithChooser(c Chooser) Option { return func(o *options) { o.chooser = c } }
 // WithAngelic switches to the union (specification) call semantics.
 func WithAngelic() Option { return func(o *options) { o.angelic = true } }
 
-// WithMaxLoopIterations bounds loop(★) execution in System.Invoke
-// (default 8).
-func WithMaxLoopIterations(n int) Option { return func(o *options) { o.maxIter = n } }
-
 func buildOptions(opts []Option) options {
-	o := options{chooser: FirstChoice{}, maxIter: 8}
+	o := options{chooser: FirstChoice{}}
 	for _, apply := range opts {
 		apply(&o)
 	}

@@ -102,7 +102,7 @@ func TestInstanceUnknownOperation(t *testing.T) {
 
 func TestScriptedChooserDrivesExits(t *testing.T) {
 	// Script: test takes exit 1 (["clean"]).
-	v := NewInstance(valve(t), WithChooser(NewScriptedChoice(1)))
+	v := NewInstance(valve(t), WithChooser(newScriptedChoice(1)))
 	next, err := v.Call("test")
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestSystemRunsGoodSector(t *testing.T) {
 	if !s.CanStop() {
 		t.Errorf("system should be stoppable; dangling: %v", s.DanglingSubsystems())
 	}
-	if got := s.OpsTrace(); !reflect.DeepEqual(got, []string{"run"}) {
+	if got := s.rootRef.Trace(); !reflect.DeepEqual(got, []string{"run"}) {
 		t.Errorf("ops trace = %v", got)
 	}
 }
@@ -270,7 +270,7 @@ class Looper:
 	classes := map[string]*model.Class{"Valve": v, "Looper": looper}
 	// Chooser: loop continues (0) then body branches... use random with
 	// a fixed seed and just require termination + protocol safety.
-	s, err := NewSystem(looper, classes, WithChooser(NewRandomChoice(7)), WithMaxLoopIterations(5))
+	s, err := NewSystem(looper, classes, WithChooser(NewRandomChoice(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestChoosers(t *testing.T) {
 	if (FirstChoice{}).Choose(5) != 0 {
 		t.Error("FirstChoice should pick 0")
 	}
-	s := NewScriptedChoice(2, 1)
+	s := newScriptedChoice(2, 1)
 	if s.Choose(3) != 2 || s.Choose(3) != 1 || s.Choose(3) != 0 {
 		t.Error("ScriptedChoice should replay then default to 0")
 	}
@@ -352,7 +352,7 @@ class Twisty:
 	// choices: the If branch decision comes first (program structure),
 	// then the exit choice when a.test runs. Prefer the else branch (1)
 	// while the valve keeps taking exit 0 (open).
-	s, err := NewSystem(twisty, classes, WithChooser(NewScriptedChoice(1, 0, 0, 0, 0, 0)))
+	s, err := NewSystem(twisty, classes, WithChooser(newScriptedChoice(1, 0, 0, 0, 0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ class Once:
 	classes := map[string]*model.Class{"Valve": v, "Once": once}
 	// Chooser: always continue the loop (0 = continue in loop decision),
 	// valve exits are 0 (open path).
-	s, err := NewSystem(once, classes, WithChooser(NewScriptedChoice(0, 0, 0, 0, 0, 0, 0, 0)))
+	s, err := NewSystem(once, classes, WithChooser(newScriptedChoice(0, 0, 0, 0, 0, 0, 0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,4 +399,26 @@ class Once:
 	if !reflect.DeepEqual(s.Trace(), want) {
 		t.Errorf("trace = %v, want %v", s.Trace(), want)
 	}
+}
+
+// scriptedChoice replays a fixed decision sequence, then falls back to
+// zero. It makes executions fully reproducible.
+type scriptedChoice struct {
+	script []int
+	pos    int
+}
+
+// newScriptedChoice returns a chooser that replays script.
+func newScriptedChoice(script ...int) *scriptedChoice {
+	return &scriptedChoice{script: script}
+}
+
+// Choose implements Chooser.
+func (s *scriptedChoice) Choose(n int) int {
+	if s.pos >= len(s.script) {
+		return 0
+	}
+	v := s.script[s.pos] % n
+	s.pos++
+	return v
 }

@@ -52,9 +52,6 @@ func (s *System) Subsystem(name string) *Instance { return s.subs[name] }
 // e.g. "a.test").
 func (s *System) Trace() []string { return append([]string(nil), s.trace...) }
 
-// OpsTrace returns the composite operations invoked so far.
-func (s *System) OpsTrace() []string { return s.rootRef.Trace() }
-
 // Allowed returns the composite operations callable now.
 func (s *System) Allowed() []string { return s.rootRef.Allowed() }
 
@@ -98,6 +95,9 @@ func (s *System) Invoke(opName string) error {
 	return err
 }
 
+// maxLoopIterations bounds loop(★) execution in System.Invoke.
+const maxLoopIterations = 8
+
 // exec runs a program; the boolean result reports whether a return was
 // executed (short-circuiting the rest of a sequence).
 func (s *System) exec(p ir.Program) (returned bool, err error) {
@@ -135,7 +135,7 @@ func (s *System) exec(p ir.Program) (returned bool, err error) {
 		}
 		return returned, err
 	case ir.Loop:
-		for iter := 0; iter < s.opts.maxIter; iter++ {
+		for iter := 0; iter < maxLoopIterations; iter++ {
 			if s.opts.chooser.Choose(2) == 1 {
 				return false, nil // exit the loop
 			}

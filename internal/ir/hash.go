@@ -78,15 +78,11 @@ func Hash(p Program) uint64 {
 	return h
 }
 
-// Fingerprint returns a 128-bit content fingerprint of p as 32 hex
-// digits (the truncated SHA-256 of the canonical encoding). The
-// pipeline cache uses Fingerprint rather than Hash for its keys: at 128
-// bits, accidental collisions between distinct programs are outside the
-// realm of reachable workloads, which the differential test layer
-// relies on.
-func Fingerprint(p Program) string { return string(AppendFingerprint(nil, p)) }
-
-// AppendFingerprint appends Fingerprint(p) to dst.
+// AppendFingerprint appends a 128-bit content fingerprint of p to dst
+// as 32 hex digits (the truncated SHA-256 of the canonical encoding). The
+// pipeline cache uses it rather than Hash for its keys: at 128 bits,
+// accidental collisions between distinct programs are outside the realm
+// of reachable workloads, which the differential test layer relies on.
 func AppendFingerprint(dst []byte, p Program) []byte {
 	var buf [512]byte
 	sum := sha256.Sum256(AppendCanonical(buf[:0], p))

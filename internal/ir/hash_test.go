@@ -7,7 +7,7 @@ func TestHashIgnoresExitID(t *testing.T) {
 	// must treat programs that differ only in ExitID as identical.
 	a := Seq{First: Call{Label: "f"}, Second: Return{ExitID: 1}}
 	b := Seq{First: Call{Label: "f"}, Second: Return{ExitID: 99}}
-	if Hash(a) != Hash(b) || Fingerprint(a) != Fingerprint(b) {
+	if Hash(a) != Hash(b) || fingerprint(a) != fingerprint(b) {
 		t.Fatal("ExitID leaked into the content hash")
 	}
 }
@@ -23,7 +23,7 @@ func TestHashDistinguishesStructure(t *testing.T) {
 	}
 	for _, c := range cases {
 		pa, pb := MustParse(c.a), MustParse(c.b)
-		if Fingerprint(pa) == Fingerprint(pb) {
+		if fingerprint(pa) == fingerprint(pb) {
 			t.Errorf("distinct programs %q and %q share a fingerprint", c.a, c.b)
 		}
 		if Hash(pa) == Hash(pb) {
@@ -38,7 +38,7 @@ func TestHashDistinguishesStructure(t *testing.T) {
 func TestCanonicalInjectiveOnLabelBoundaries(t *testing.T) {
 	a := NewSeq(NewCall("a"), NewCall("bc"))
 	b := NewSeq(NewCall("ab"), NewCall("c"))
-	if Fingerprint(a) == Fingerprint(b) {
+	if fingerprint(a) == fingerprint(b) {
 		t.Fatal("label boundary ambiguity: a·bc and ab·c share an encoding")
 	}
 }
@@ -67,8 +67,8 @@ func TestHashGolden(t *testing.T) {
 		if got := Hash(p); got != c.hash {
 			t.Errorf("Hash(%q) = %#x, want %#x (canonical encoding changed?)", c.src, got, c.hash)
 		}
-		if got := Fingerprint(p); got != c.fp {
-			t.Errorf("Fingerprint(%q) = %s, want %s", c.src, got, c.fp)
+		if got := fingerprint(p); got != c.fp {
+			t.Errorf("fingerprint(%q) = %s, want %s", c.src, got, c.fp)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func FuzzHashStability(f *testing.F) {
 		}
 		// Identical source → identical keys, deterministically.
 		q := MustParse(src)
-		if Hash(p) != Hash(q) || Fingerprint(p) != Fingerprint(q) {
+		if Hash(p) != Hash(q) || fingerprint(p) != fingerprint(q) {
 			t.Fatalf("two parses of %q disagree on keys", src)
 		}
 		// The printed round trip is the same tree, hence the same keys.
@@ -101,7 +101,7 @@ func FuzzHashStability(f *testing.F) {
 		if err != nil {
 			t.Fatalf("printed form %q does not reparse: %v", p.String(), err)
 		}
-		if Fingerprint(r) != Fingerprint(p) {
+		if fingerprint(r) != fingerprint(p) {
 			t.Fatalf("round trip of %q changed the fingerprint", src)
 		}
 		// Structural mutants whose concrete syntax differs must hash
@@ -118,7 +118,7 @@ func FuzzHashStability(f *testing.F) {
 			if m.String() == p.String() {
 				continue
 			}
-			if Fingerprint(m) == Fingerprint(p) {
+			if fingerprint(m) == fingerprint(p) {
 				t.Fatalf("mutant %q shares fingerprint with %q", m, p)
 			}
 			if Hash(m) == Hash(p) {
@@ -127,3 +127,6 @@ func FuzzHashStability(f *testing.F) {
 		}
 	})
 }
+
+// fingerprint is AppendFingerprint as a string.
+func fingerprint(p Program) string { return string(AppendFingerprint(nil, p)) }

@@ -61,9 +61,6 @@ func NewCall(label string) Program { return Call{Label: label} }
 // NewSkip returns skip.
 func NewSkip() Program { return Skip{} }
 
-// NewReturn returns a return node.
-func NewReturn() Program { return Return{} }
-
 // NewSeq sequences the given programs left-to-right: Seqs(a,b,c) is
 // a;(b;c). With no arguments it returns skip, keeping callers simple.
 func NewSeq(ps ...Program) Program {
@@ -145,36 +142,6 @@ func (l Loop) write(b *strings.Builder) {
 	b.WriteString(" }")
 }
 
-// Size returns the number of nodes in p.
-func Size(p Program) int {
-	switch p := p.(type) {
-	case Call, Skip, Return:
-		return 1
-	case Seq:
-		return 1 + Size(p.First) + Size(p.Second)
-	case If:
-		return 1 + Size(p.Then) + Size(p.Else)
-	case Loop:
-		return 1 + Size(p.Body)
-	}
-	return 1
-}
-
-// Depth returns the height of the program tree.
-func Depth(p Program) int {
-	switch p := p.(type) {
-	case Call, Skip, Return:
-		return 1
-	case Seq:
-		return 1 + max(Depth(p.First), Depth(p.Second))
-	case If:
-		return 1 + max(Depth(p.Then), Depth(p.Else))
-	case Loop:
-		return 1 + Depth(p.Body)
-	}
-	return 1
-}
-
 // Labels returns the set of call labels occurring in p, in first-occurrence
 // order.
 func Labels(p Program) []string {
@@ -200,35 +167,4 @@ func Labels(p Program) []string {
 	}
 	walk(p)
 	return out
-}
-
-// HasReturn reports whether p contains a return node anywhere.
-func HasReturn(p Program) bool {
-	switch p := p.(type) {
-	case Return:
-		return true
-	case Seq:
-		return HasReturn(p.First) || HasReturn(p.Second)
-	case If:
-		return HasReturn(p.Then) || HasReturn(p.Else)
-	case Loop:
-		return HasReturn(p.Body)
-	}
-	return false
-}
-
-// CountReturns returns the number of return nodes in p — the number of
-// exit points the dependency graph will allocate for the method (§3.1).
-func CountReturns(p Program) int {
-	switch p := p.(type) {
-	case Return:
-		return 1
-	case Seq:
-		return CountReturns(p.First) + CountReturns(p.Second)
-	case If:
-		return CountReturns(p.Then) + CountReturns(p.Else)
-	case Loop:
-		return CountReturns(p.Body)
-	}
-	return 0
 }

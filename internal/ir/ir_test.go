@@ -11,7 +11,7 @@ func exampleLoop() Program {
 	return NewLoop(NewSeq(
 		NewCall("a"),
 		NewIf(
-			NewSeq(NewCall("b"), NewReturn()),
+			NewSeq(NewCall("b"), Return{}),
 			NewCall("c"),
 		),
 	))
@@ -24,7 +24,7 @@ func TestString(t *testing.T) {
 	}{
 		{NewCall("a.open"), "a.open()"},
 		{NewSkip(), "skip"},
-		{NewReturn(), "return"},
+		{Return{}, "return"},
 		{NewSeq(NewCall("a"), NewCall("b")), "a(); b()"},
 		{NewIf(NewCall("a"), NewSkip()), "if(*) { a() } else { skip }"},
 		{NewLoop(NewCall("a")), "loop(*) { a() }"},
@@ -109,29 +109,6 @@ func TestLabels(t *testing.T) {
 	}
 }
 
-func TestHasReturnAndCountReturns(t *testing.T) {
-	tests := []struct {
-		p     Program
-		has   bool
-		count int
-	}{
-		{NewSkip(), false, 0},
-		{NewReturn(), true, 1},
-		{NewCall("a"), false, 0},
-		{exampleLoop(), true, 1},
-		{NewIf(NewReturn(), NewReturn()), true, 2},
-		{NewSeq(NewReturn(), NewLoop(NewReturn())), true, 2},
-	}
-	for _, tt := range tests {
-		if got := HasReturn(tt.p); got != tt.has {
-			t.Errorf("HasReturn(%v) = %v, want %v", tt.p, got, tt.has)
-		}
-		if got := CountReturns(tt.p); got != tt.count {
-			t.Errorf("CountReturns(%v) = %d, want %d", tt.p, got, tt.count)
-		}
-	}
-}
-
 func TestRandomRespectsConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cfg := GeneratorConfig{MaxDepth: 4, Labels: []string{"x", "y"}}
@@ -181,4 +158,34 @@ func TestRandomCoversAllNodeKinds(t *testing.T) {
 			t.Errorf("generator never produced %s nodes", k)
 		}
 	}
+}
+
+// Size returns the number of nodes in p.
+func Size(p Program) int {
+	switch p := p.(type) {
+	case Call, Skip, Return:
+		return 1
+	case Seq:
+		return 1 + Size(p.First) + Size(p.Second)
+	case If:
+		return 1 + Size(p.Then) + Size(p.Else)
+	case Loop:
+		return 1 + Size(p.Body)
+	}
+	return 1
+}
+
+// Depth returns the height of the program tree.
+func Depth(p Program) int {
+	switch p := p.(type) {
+	case Call, Skip, Return:
+		return 1
+	case Seq:
+		return 1 + max(Depth(p.First), Depth(p.Second))
+	case If:
+		return 1 + max(Depth(p.Then), Depth(p.Else))
+	case Loop:
+		return 1 + Depth(p.Body)
+	}
+	return 1
 }

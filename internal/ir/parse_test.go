@@ -19,7 +19,7 @@ func TestParseBasics(t *testing.T) {
 		{"loop(*) { a() }", NewLoop(NewCall("a"))},
 		{
 			"loop(*) { a(); if(*) { b(); return } else { c() } }",
-			NewLoop(NewSeq(NewCall("a"), NewIf(NewSeq(NewCall("b"), NewReturn()), NewCall("c")))),
+			NewLoop(NewSeq(NewCall("a"), NewIf(NewSeq(NewCall("b"), Return{}), NewCall("c")))),
 		},
 	}
 	for _, tt := range tests {
@@ -39,7 +39,7 @@ func TestParseWhitespaceTolerant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := NewLoop(NewSeq(NewCall("a"), NewReturn()))
+	want := NewLoop(NewSeq(NewCall("a"), Return{}))
 	if got.String() != want.String() {
 		t.Errorf("got %v", got)
 	}

@@ -381,9 +381,6 @@ func (s byKey) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// Key returns a canonical structural key for f, usable as a map key.
-func Key(f Formula) string { return key(f) }
-
 // Atoms returns the sorted set of atom names occurring in f.
 func Atoms(f Formula) []string {
 	set := make(map[string]struct{})

@@ -23,7 +23,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("printed form %q does not reparse: %v", printed, err)
 		}
-		if Key(back) != Key(formula) {
+		if key(back) != key(formula) {
 			t.Fatalf("print/parse not stable: %q -> %q", printed, back.String())
 		}
 		g := ToNNF(formula)

@@ -51,7 +51,7 @@ func TestParseAndString(t *testing.T) {
 			t.Errorf("reparse %q: %v", f.String(), err)
 			continue
 		}
-		if Key(back) != Key(f) {
+		if key(back) != key(f) {
 			t.Errorf("round trip changed %q -> %q", tt.src, back.String())
 		}
 	}
@@ -87,7 +87,7 @@ func TestConstructorNormalization(t *testing.T) {
 		{OrOf(OrOf(a, b), a), OrOf(a, b)},
 	}
 	for i, tt := range tests {
-		if Key(tt.got) != Key(tt.want) {
+		if key(tt.got) != key(tt.want) {
 			t.Errorf("case %d: got %v, want %v", i, tt.got, tt.want)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // source positions, which diagnostics print), and match sites. Helpers
 // are included because the checker reports on them too.
 //
-// The fingerprint is syntactic, like ir.Fingerprint: two classes with
+// The fingerprint is syntactic, like ir.AppendFingerprint: two classes with
 // the same usage language but different bodies get distinct keys, so
 // the memoization cache (internal/pipeline) can never alias them. It is
 // computed once per class and safe for concurrent use; classes are

@@ -14,7 +14,6 @@ package nusmv
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/shelley-go/shelley/internal/automata"
@@ -169,31 +168,4 @@ func ltlfToLTL(f ltlf.Formula) string {
 		}
 	}
 	return tr(f)
-}
-
-// ExportClaims is a convenience over Export that parses the claim
-// strings first.
-func ExportClaims(name string, d *automata.DFA, claims []string) (string, error) {
-	parsed := make([]ltlf.Formula, 0, len(claims))
-	for _, c := range claims {
-		f, err := ltlf.Parse(c)
-		if err != nil {
-			return "", fmt.Errorf("nusmv: claim %q: %w", c, err)
-		}
-		parsed = append(parsed, f)
-	}
-	return Export(name, d, parsed), nil
-}
-
-// Events lists the event identifiers the export will use, sorted; handy
-// for tooling that post-processes NuSMV counterexamples back into
-// Shelley traces.
-func Events(d *automata.DFA) []string {
-	out := make([]string, 0, len(d.Alphabet())+1)
-	for _, sym := range d.Alphabet() {
-		out = append(out, eventID(sym))
-	}
-	out = append(out, eventID(EndEvent))
-	sort.Strings(out)
-	return out
 }

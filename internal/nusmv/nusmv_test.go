@@ -3,7 +3,6 @@ package nusmv
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -75,10 +74,7 @@ func TestExportDeterministic(t *testing.T) {
 
 func TestExportClaims(t *testing.T) {
 	d := valveSpec(t)
-	out, err := ExportClaims("Valve", d, []string{"(!open) W clean", "G (open -> X close)"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := Export("Valve", d, []ltlf.Formula{ltlf.MustParse("(!open) W clean"), ltlf.MustParse("G (open -> X close)")})
 	if got := strings.Count(out, "LTLSPEC"); got != 2 {
 		t.Errorf("LTLSPEC count = %d, want 2", got)
 	}
@@ -87,9 +83,6 @@ func TestExportClaims(t *testing.T) {
 	}
 	if !strings.Contains(out, "event = e_open") {
 		t.Error("atom translation missing")
-	}
-	if _, err := ExportClaims("Valve", d, []string{"(("}); err == nil {
-		t.Error("malformed claim should error")
 	}
 }
 
@@ -110,10 +103,9 @@ func TestEventIDSanitization(t *testing.T) {
 
 func TestEvents(t *testing.T) {
 	d := automata.CompileMinimal(regex.MustParse("a.x . b"))
-	got := Events(d)
-	want := []string{"e__end", "e_a_x", "e_b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Events = %v, want %v", got, want)
+	// One event per symbol in alphabet order, then the end event.
+	if out, want := Export("M", d, nil), "event : {e_a_x, e_b, e__end};"; !strings.Contains(out, want) {
+		t.Errorf("export does not declare %q:\n%s", want, out)
 	}
 }
 

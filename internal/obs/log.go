@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"io"
 	"log/slog"
 )
 
@@ -38,17 +37,4 @@ func (h *logHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 
 func (h *logHandler) WithGroup(name string) slog.Handler {
 	return &logHandler{inner: h.inner.WithGroup(name)}
-}
-
-// NewLogger returns a structured logger writing key=value text records
-// to w, with trace/span IDs attached whenever the logging context
-// carries a span. This is the shape of shelleyd's access log.
-func NewLogger(w io.Writer) *slog.Logger {
-	return slog.New(NewLogHandler(slog.NewTextHandler(w, nil)))
-}
-
-// NewJSONLogger is NewLogger with JSON records, for log pipelines that
-// ingest one object per line.
-func NewJSONLogger(w io.Writer) *slog.Logger {
-	return slog.New(NewLogHandler(slog.NewJSONHandler(w, nil)))
 }

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"testing"
 )
 
 func TestLoggerAttachesTraceAndSpanIDs(t *testing.T) {
 	var buf bytes.Buffer
-	logger := NewLogger(&buf)
+	logger := slog.New(NewLogHandler(slog.NewTextHandler(&buf, nil)))
 
 	tr := New(WithDeterministicIDs())
 	ctx := ContextWithTracer(context.Background(), tr)
@@ -34,7 +35,7 @@ func TestLoggerAttachesTraceAndSpanIDs(t *testing.T) {
 
 func TestLoggerWithoutSpanOmitsIDs(t *testing.T) {
 	var buf bytes.Buffer
-	logger := NewLogger(&buf)
+	logger := slog.New(NewLogHandler(slog.NewTextHandler(&buf, nil)))
 	logger.InfoContext(context.Background(), "access", "method", "GET")
 	if strings.Contains(buf.String(), "trace_id") {
 		t.Fatalf("untraced record should carry no trace_id:\n%s", buf.String())
@@ -43,7 +44,7 @@ func TestLoggerWithoutSpanOmitsIDs(t *testing.T) {
 
 func TestLoggerSurvivesWithAttrsAndGroups(t *testing.T) {
 	var buf bytes.Buffer
-	base := NewJSONLogger(&buf).With("daemon", "shelleyd").WithGroup("req")
+	base := slog.New(NewLogHandler(slog.NewJSONHandler(&buf, nil))).With("daemon", "shelleyd").WithGroup("req")
 
 	tr := New(WithDeterministicIDs())
 	ctx := ContextWithTracer(context.Background(), tr)

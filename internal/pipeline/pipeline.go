@@ -5,7 +5,7 @@
 // flattened composite DFAs, LTLf claim compilation, and whole-class
 // verification reports.
 //
-// Keys are stable content fingerprints (ir.Fingerprint for programs,
+// Keys are stable content fingerprints (ir fingerprints for programs,
 // model.Class.Fingerprint for classes, regex.Key for expressions), so
 // the cache never needs explicit invalidation: a class that changes in
 // any way hashes to fresh keys, and entries for dead content simply
@@ -36,6 +36,7 @@ import (
 	"github.com/shelley-go/shelley/internal/ltlf"
 	"github.com/shelley-go/shelley/internal/obs"
 	"github.com/shelley-go/shelley/internal/regex"
+	"github.com/shelley-go/shelley/internal/telemetry"
 )
 
 // Stage identifies one cached stage of the analysis pipeline.
@@ -43,7 +44,7 @@ type Stage int
 
 const (
 	// StageBehavior memoizes behavior regex inference: ⟦p⟧ for one
-	// method body (raw and simplified forms, keyed by ir.Fingerprint).
+	// method body (raw and simplified forms, keyed by ir fingerprints).
 	StageBehavior Stage = iota
 
 	// StageDFA memoizes regex→automaton compilation (derivative NFA
@@ -383,7 +384,7 @@ func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(c
 	st := &c.stats[stage]
 	st.misses.Add(1)
 	st.buildNanos.Add(int64(elapsed))
-	st.buckets[bucketIndex(elapsed)].Add(1)
+	st.buckets[telemetry.RollupIndex(telemetry.BucketIndex(elapsed))].Add(1)
 
 	// Write-behind: persist the freshly built value (never an error —
 	// errors are cheap to recompute and poisonous to resurrect). Put is
@@ -481,7 +482,8 @@ func (c *Cache) InferSimplified(ctx context.Context, p ir.Program) regex.Regex {
 	return r
 }
 
-// programKey is prefix+ir.Fingerprint(p), built in one allocation.
+// programKey is prefix+ir.AppendFingerprint(nil, p), built in one
+// allocation.
 func programKey(prefix string, p ir.Program) string {
 	var buf [40]byte
 	return string(ir.AppendFingerprint(append(buf[:0], prefix...), p))

@@ -235,8 +235,8 @@ func TestStatsString(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if s.TotalHits() != 1 || s.TotalMisses() != 1 {
-		t.Fatalf("totals: %d hits / %d misses, want 1/1", s.TotalHits(), s.TotalMisses())
+	if s.Of(StageDFA).Hits != 1 || s.TotalMisses() != 1 {
+		t.Fatalf("totals: %d dfa hits / %d misses, want 1/1", s.Of(StageDFA).Hits, s.TotalMisses())
 	}
 	if hr := s.Of(StageDFA).HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate %v, want 0.5", hr)

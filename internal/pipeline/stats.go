@@ -5,55 +5,37 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"github.com/shelley-go/shelley/internal/telemetry"
 )
 
-// bucketBounds are the inclusive upper bounds of the build wall-time
-// histogram; one overflow bucket follows the last bound. The spread
-// covers the observed range of the pipeline, from sub-microsecond
-// behavior inference to multi-millisecond flatten/claim products.
-var bucketBounds = [...]time.Duration{
-	10 * time.Microsecond,
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-}
+// NumBuckets is the number of build wall-time histogram columns per
+// stage: the columns telemetry.RollupIndex folds the fine latency
+// buckets into, one per decade from ≤10µs to ≤100ms plus an overflow
+// column. The spread covers the observed range of the pipeline, from
+// sub-microsecond behavior inference to multi-millisecond
+// flatten/claim products.
+const NumBuckets = 6
 
-// NumBuckets is the number of histogram buckets per stage (the bounds
-// plus one overflow bucket).
-const NumBuckets = len(bucketBounds) + 1
-
-func bucketIndex(d time.Duration) int {
-	for i, bound := range bucketBounds {
-		if d <= bound {
-			return i
+// columnBounds[c] is the inclusive upper bound of column c: the largest
+// bound among the telemetry buckets that RollupIndex folds into c. The
+// overflow column has none.
+var columnBounds = func() (b [NumBuckets - 1]time.Duration) {
+	for i := 0; i < telemetry.NumLatBuckets; i++ {
+		if c := telemetry.RollupIndex(i); c < len(b) {
+			b[c] = telemetry.BucketBound(i)
 		}
 	}
-	return len(bucketBounds)
-}
-
-// BucketIndex returns the histogram bucket for a duration, in
-// [0, NumBuckets). Exported so other observability layers (the
-// shelleyd request-latency histograms) share one bucketing scheme with
-// the pipeline stats and their tables line up column for column.
-func BucketIndex(d time.Duration) int { return bucketIndex(d) }
-
-// BucketBound returns the inclusive upper bound of bucket i; the last
-// (overflow) bucket has no bound and returns a negative duration.
-func BucketBound(i int) time.Duration {
-	if i < 0 || i >= len(bucketBounds) {
-		return -1
-	}
-	return bucketBounds[i]
-}
+	return b
+}()
 
 // BucketLabels returns the histogram column labels, in bucket order.
 func BucketLabels() []string {
 	out := make([]string, 0, NumBuckets)
-	for _, bound := range bucketBounds {
+	for _, bound := range columnBounds {
 		out = append(out, "≤"+bound.String())
 	}
-	return append(out, ">"+bucketBounds[len(bucketBounds)-1].String())
+	return append(out, ">"+columnBounds[len(columnBounds)-1].String())
 }
 
 // stageCounters are the live atomics behind one stage's statistics.
@@ -174,15 +156,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		out.Stages[i] = d
 	}
 	return out
-}
-
-// TotalHits sums hits over every stage.
-func (s Stats) TotalHits() uint64 {
-	var n uint64
-	for _, st := range s.Stages {
-		n += st.Hits
-	}
-	return n
 }
 
 // TotalMisses sums misses over every stage.

@@ -29,20 +29,6 @@ func Unparse(m *Module) string {
 	return b.String()
 }
 
-// UnparseClass renders a single class definition.
-func UnparseClass(c *ClassDef) string {
-	var b strings.Builder
-	writeClass(&b, c)
-	return b.String()
-}
-
-// UnparseExpr renders an expression.
-func UnparseExpr(e Expr) string {
-	var b strings.Builder
-	writeExpr(&b, e)
-	return b.String()
-}
-
 func writeClass(b *strings.Builder, c *ClassDef) {
 	for _, d := range c.Decorators {
 		writeDecorator(b, d)

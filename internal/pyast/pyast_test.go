@@ -129,7 +129,7 @@ func TestUnparsePrecedence(t *testing.T) {
 
 func TestUnparseEmptyBodies(t *testing.T) {
 	cls := &pyast.ClassDef{Name: "Empty"}
-	out := pyast.UnparseClass(cls)
+	out := pyast.Unparse(&pyast.Module{Classes: []*pyast.ClassDef{cls}})
 	if !strings.Contains(out, "class Empty:") || !strings.Contains(out, "pass") {
 		t.Errorf("empty class:\n%s", out)
 	}
@@ -137,17 +137,16 @@ func TestUnparseEmptyBodies(t *testing.T) {
 
 func TestUnparseExpr(t *testing.T) {
 	m := parseModule(t, "x = self.a.test(1, \"s\", [True, None])\n")
-	asg := m.Stmts[0].(*pyast.Assign)
-	got := pyast.UnparseExpr(asg.Value)
-	if got != `self.a.test(1, "s", [True, None])` {
-		t.Errorf("UnparseExpr = %q", got)
+	got := pyast.Unparse(m)
+	if got != "x = self.a.test(1, \"s\", [True, None])\n" {
+		t.Errorf("Unparse = %q", got)
 	}
 }
 
 func TestWalkVisitsEverything(t *testing.T) {
 	m := parseModule(t, readTestdata(t, "badsector.py"))
 	var classes, funcs, calls, returns, matches int
-	pyast.WalkModule(m, func(n pyast.Node) bool {
+	walkModule(m, func(n pyast.Node) bool {
 		switch n.(type) {
 		case *pyast.ClassDef:
 			classes++
@@ -182,13 +181,13 @@ func TestWalkVisitsEverything(t *testing.T) {
 func TestWalkPrune(t *testing.T) {
 	m := parseModule(t, readTestdata(t, "badsector.py"))
 	var visited int
-	pyast.WalkModule(m, func(n pyast.Node) bool {
+	walkModule(m, func(n pyast.Node) bool {
 		visited++
 		_, isFunc := n.(*pyast.FuncDef)
 		return !isFunc // do not descend into method bodies
 	})
 	var all int
-	pyast.WalkModule(m, func(pyast.Node) bool { all++; return true })
+	walkModule(m, func(pyast.Node) bool { all++; return true })
 	if visited >= all {
 		t.Errorf("pruned walk visited %d, full walk %d", visited, all)
 	}
@@ -251,7 +250,7 @@ class C:
 	// Every node reachable by the walker must report a plausible
 	// position (line ≥ 1) — Pos is what diagnostics anchor on.
 	count := 0
-	pyast.WalkModule(m, func(n pyast.Node) bool {
+	walkModule(m, func(n pyast.Node) bool {
 		count++
 		if n.Pos().Line < 1 && !isPositionlessOK(n) {
 			t.Errorf("node %T has no position", n)
@@ -279,4 +278,14 @@ class C:
 func isPositionlessOK(n pyast.Node) bool {
 	tup, ok := n.(*pyast.TupleExpr)
 	return ok && len(tup.Elts) == 0
+}
+
+// walkModule walks every class and top-level statement of a module.
+func walkModule(m *pyast.Module, visit func(pyast.Node) bool) {
+	for _, s := range m.Stmts {
+		pyast.Walk(s, visit)
+	}
+	for _, c := range m.Classes {
+		pyast.Walk(c, visit)
+	}
 }

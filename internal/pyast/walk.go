@@ -83,16 +83,6 @@ func Walk(n Node, visit func(Node) bool) {
 	}
 }
 
-// WalkModule walks every class and top-level statement of a module.
-func WalkModule(m *Module, visit func(Node) bool) {
-	for _, s := range m.Stmts {
-		Walk(s, visit)
-	}
-	for _, c := range m.Classes {
-		Walk(c, visit)
-	}
-}
-
 func walkStmts(body []Stmt, visit func(Node) bool) {
 	for _, s := range body {
 		Walk(s, visit)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestBadSectorConcreteExecution(t *testing.T) {
 	m := parsePaperModule(t, "valve.py", "badsector.py")
 	board := hw.NewBoard()
 	env := NewEnv(board)
-	env.RegisterModule(m)
+	registerModule(env, m)
 
 	sector, err := NewObject(classOf(t, m, "BadSector"), env)
 	if err != nil {
@@ -72,10 +73,10 @@ func TestBadSectorConcreteExecution(t *testing.T) {
 	if sector.CanStop() != true {
 		t.Error("open_a is @op_initial_final: the composite protocol lets the caller stop")
 	}
-	if got := sector.DanglingFields(); !reflect.DeepEqual(got, []string{"a"}) {
+	if got := danglingFields(sector); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Errorf("dangling = %v, want [a] (valve a left open)", got)
 	}
-	a, ok := sector.SubObject("a")
+	a, ok := subObject(sector, "a")
 	if !ok {
 		t.Fatal("subsystem a missing")
 	}
@@ -95,7 +96,7 @@ func TestBadSectorConcreteExecution(t *testing.T) {
 	if len(next) != 0 {
 		t.Errorf("open_b returned %v", next)
 	}
-	if got := sector.DanglingFields(); len(got) != 0 {
+	if got := danglingFields(sector); len(got) != 0 {
 		t.Errorf("dangling after open_b = %v", got)
 	}
 	if got := board.HighPins(); !reflect.DeepEqual(got, []int{29}) {
@@ -107,7 +108,7 @@ func TestBadSectorConcreteCleanBranch(t *testing.T) {
 	m := parsePaperModule(t, "valve.py", "badsector.py")
 	board := hw.NewBoard()
 	env := NewEnv(board)
-	env.RegisterModule(m)
+	registerModule(env, m)
 	sector, err := NewObject(classOf(t, m, "BadSector"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestBadSectorConcreteCleanBranch(t *testing.T) {
 	if _, _, err := sector.Call("open_b"); err == nil {
 		t.Error("open_b must be rejected after the [] return")
 	}
-	if got := sector.DanglingFields(); len(got) != 0 {
+	if got := danglingFields(sector); len(got) != 0 {
 		t.Errorf("dangling = %v (clean is final)", got)
 	}
 }
@@ -133,7 +134,7 @@ func TestGoodSectorConcreteExecution(t *testing.T) {
 	m := parsePaperModule(t, "valve.py", "goodsector.py")
 	board := hw.NewBoard()
 	env := NewEnv(board)
-	env.RegisterModule(m)
+	registerModule(env, m)
 	sector, err := NewObject(classOf(t, m, "GoodSector"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +143,7 @@ func TestGoodSectorConcreteExecution(t *testing.T) {
 	if _, _, err := sector.Call("run"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sector.DanglingFields(); len(got) != 0 {
+	if got := danglingFields(sector); len(got) != 0 {
 		t.Errorf("GoodSector must leave no valve open: %v", got)
 	}
 	if !sector.CanStop() {
@@ -157,7 +158,7 @@ func TestGoodSectorConcreteExecution(t *testing.T) {
 func TestConstructorArityAndMethodArgsRejected(t *testing.T) {
 	m := parsePaperModule(t, "valve.py")
 	env := NewEnv(hw.NewBoard())
-	env.RegisterModule(m)
+	registerModule(env, m)
 	src := `class C:
     def __init__(self):
         self.v = Valve(1)
@@ -242,7 +243,7 @@ class Controller:
 	}
 	board := hw.NewBoard()
 	env := NewEnv(board)
-	env.RegisterModule(m)
+	registerModule(env, m)
 	ctl, err := NewObject(classOf(t, m, "Controller"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -251,15 +252,15 @@ class Controller:
 	if _, _, err := ctl.Call("day"); err != nil {
 		t.Fatalf("day: %v", err)
 	}
-	if got := ctl.DanglingFields(); len(got) != 0 {
+	if got := danglingFields(ctl); len(got) != 0 {
 		t.Errorf("dangling = %v", got)
 	}
 	// Descend two levels: the valve really cycled.
-	sector, ok := ctl.SubObject("s")
+	sector, ok := subObject(ctl, "s")
 	if !ok {
 		t.Fatal("sector missing")
 	}
-	valve, ok := sector.SubObject("v")
+	valve, ok := subObject(sector, "v")
 	if !ok {
 		t.Fatal("valve missing")
 	}
@@ -278,7 +279,7 @@ func TestConcreteEventsRecorded(t *testing.T) {
 	m := parsePaperModule(t, "valve.py", "goodsector.py")
 	board := hw.NewBoard()
 	env := NewEnv(board)
-	env.RegisterModule(m)
+	registerModule(env, m)
 	sector, err := NewObject(classOf(t, m, "GoodSector"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -291,8 +292,39 @@ func TestConcreteEventsRecorded(t *testing.T) {
 	if got := env.Events(); !reflect.DeepEqual(got, want) {
 		t.Errorf("events = %v, want %v", got, want)
 	}
-	env.ResetEvents()
-	if len(env.Events()) != 0 {
-		t.Error("ResetEvents should clear the log")
+}
+
+// registerModule registers every class of the module, so a composite's
+// __init__ can construct its subsystems by name.
+func registerModule(e *Env, m *pyast.Module) {
+	for _, cls := range m.Classes {
+		e.RegisterClass(cls)
 	}
+}
+
+// danglingFields lists object-valued fields that are not stoppable —
+// the concrete counterpart of interp.System.DanglingSubsystems, sorted
+// by field name.
+func danglingFields(o *Object) []string {
+	var out []string
+	for name, v := range o.fields {
+		if ov, ok := v.(ObjectValue); ok && !ov.Object.CanStop() {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// subObject returns the live object behind an object-valued field.
+func subObject(o *Object, field string) (*Object, bool) {
+	v, ok := o.fields[field]
+	if !ok {
+		return nil, false
+	}
+	ov, ok := v.(ObjectValue)
+	if !ok {
+		return nil, false
+	}
+	return ov.Object, true
 }

@@ -2,7 +2,6 @@ package pyexec
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/shelley-go/shelley/internal/pyast"
 )
@@ -32,14 +31,6 @@ func (e *Env) RegisterClass(cls *pyast.ClassDef) {
 	}
 }
 
-// RegisterModule registers every class of the module, so a composite's
-// __init__ can construct its subsystems by name.
-func (e *Env) RegisterModule(m *pyast.Module) {
-	for _, cls := range m.Classes {
-		e.RegisterClass(cls)
-	}
-}
-
 // callObjectMethod dispatches a method call on a wrapped object: the
 // call is subject to the callee's own protocol, and its value is the
 // return list (or (list, user) tuple) the body produced — exactly what
@@ -60,31 +51,4 @@ func callObjectMethod(recv ObjectValue, method string, args []Value) (Value, err
 		return ListValue{Elems: labels}, nil
 	}
 	return TupleValue{Elems: []Value{ListValue{Elems: labels}, user}}, nil
-}
-
-// DanglingFields lists object-valued fields that are not stoppable —
-// the concrete counterpart of interp.System.DanglingSubsystems, sorted
-// by field name.
-func (o *Object) DanglingFields() []string {
-	var out []string
-	for name, v := range o.fields {
-		if ov, ok := v.(ObjectValue); ok && !ov.Object.CanStop() {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SubObject returns the live object behind an object-valued field.
-func (o *Object) SubObject(field string) (*Object, bool) {
-	v, ok := o.fields[field]
-	if !ok {
-		return nil, false
-	}
-	ov, ok := v.(ObjectValue)
-	if !ok {
-		return nil, false
-	}
-	return ov.Object, true
 }

@@ -93,9 +93,6 @@ type Env struct {
 // checker's flattened traces.
 func (e *Env) Events() []string { return append([]string(nil), e.events...) }
 
-// ResetEvents clears the recorded event log.
-func (e *Env) ResetEvents() { e.events = nil }
-
 // NewEnv builds an environment over the board with the MicroPython
 // machine constants and the Pin constructor installed.
 func NewEnv(board *hw.Board) *Env {
@@ -124,12 +121,6 @@ func NewEnv(board *hw.Board) *Env {
 	return e
 }
 
-// RegisterBuiltin installs a constructor or free function.
-func (e *Env) RegisterBuiltin(name string, fn Builtin) { e.builtins[name] = fn }
-
-// SetGlobal binds a free variable visible to method bodies.
-func (e *Env) SetGlobal(name string, v Value) { e.globals[name] = v }
-
 // Object is a live instance of an annotated base class.
 type Object struct {
 	class  *pyast.ClassDef
@@ -152,13 +143,6 @@ func NewObject(cls *pyast.ClassDef, env *Env) (*Object, error) {
 		}
 	}
 	return o, nil
-}
-
-// Field returns an instance field (e.g. the PinValue behind
-// self.control).
-func (o *Object) Field(name string) (Value, bool) {
-	v, ok := o.fields[name]
-	return v, ok
 }
 
 // Allowed returns the operations callable now: the initial operations

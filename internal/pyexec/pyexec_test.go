@@ -42,7 +42,7 @@ func TestValveDeviceExecution(t *testing.T) {
 	}
 
 	// __init__ configured the three pins of Listing 2.1.
-	if _, ok := valve.Field("control"); !ok {
+	if _, ok := valve.fields["control"]; !ok {
 		t.Fatal("control pin missing")
 	}
 	if got := board.HighPins(); len(got) != 0 {
@@ -278,15 +278,15 @@ func TestBuiltinRegistrationAndGlobals(t *testing.T) {
         return []
 `
 	env := NewEnv(hw.NewBoard())
-	env.RegisterBuiltin("Gadget", func(args []Value) (Value, error) {
+	env.builtins["Gadget"] = func(args []Value) (Value, error) {
 		return IntValue{V: args[0].(IntValue).V * 2}, nil
-	})
-	env.SetGlobal("limit", IntValue{V: 5})
+	}
+	env.globals["limit"] = IntValue{V: 5}
 	obj, err := NewObject(parseClass(t, src, "C"), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := obj.Field("dev"); v.(IntValue).V != 14 {
+	if v, _ := obj.fields["dev"]; v.(IntValue).V != 14 {
 		t.Errorf("gadget = %v", v)
 	}
 	next, _, err := obj.Call("m")

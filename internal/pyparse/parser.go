@@ -27,7 +27,7 @@ func ParseModule(src string) (*pyast.Module, error) { return ParseModuleAt(src, 
 
 // ParseModuleAt parses a fragment of a larger file that begins at
 // column 1 of the given line, reporting every position in the file's
-// coordinates (pytoken.TokenizeAt): ParseModule(src) ==
+// coordinates (pytoken.NewLexer): ParseModule(src) ==
 // ParseModuleAt(src, 1).
 func ParseModuleAt(src string, line int) (*pyast.Module, error) {
 	p := &parser{lex: pytoken.NewLexer(src, line)}

@@ -13,7 +13,7 @@ type Block struct{ Start, End, Line int }
 // also owns those before it. The lexer meets every such line at depth 0
 // and with a full dedent, unless a block leaves a bracket open and so
 // fails to parse alone, and no token spans lines without a backslash;
-// so when every block parses alone from its start line (TokenizeAt),
+// so when every block parses alone from its start line (NewLexer),
 // the blocks' tokens, positions and trees are exactly those of the
 // whole source, and a lexical error anywhere in src fails the block
 // that holds it. ok is false whenever the scan cannot vouch for that: a

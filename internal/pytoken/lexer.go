@@ -19,13 +19,10 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // stack of open indentation levels; inconsistent dedents are reported as
 // errors. Newlines inside (), [] or {} are ignored (implicit line
 // joining), as are blank lines and comment-only lines.
-func Tokenize(src string) ([]Token, error) { return TokenizeAt(src, 1) }
+func Tokenize(src string) ([]Token, error) { return tokenizeAt(src, 1) }
 
-// TokenizeAt is Tokenize for a fragment of a larger file that begins at
-// column 1 of the given line: every position (of tokens and of errors)
-// is in the file's coordinates, so Tokenize(src) == TokenizeAt(src, 1).
-// It drains a Lexer.
-func TokenizeAt(src string, line int) ([]Token, error) {
+// tokenizeAt drains a Lexer over src, which begins at the given line.
+func tokenizeAt(src string, line int) ([]Token, error) {
 	l := NewLexer(src, line)
 	var toks []Token
 	for {
@@ -57,7 +54,8 @@ type Lexer struct {
 }
 
 // NewLexer returns a lexer over src, which begins at column 1 of the
-// given line (see TokenizeAt).
+// given line: every position (of tokens and of errors) is in the
+// coordinates of the file src was cut from.
 func NewLexer(src string, line int) *Lexer {
 	return &Lexer{src: src, line: line, col: 1, indents: []int{0}, atLineStart: true}
 }

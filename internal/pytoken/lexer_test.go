@@ -251,21 +251,21 @@ func TestPositions(t *testing.T) {
 	}
 }
 
-// TestTokenizeAtShiftsLines pins TokenizeAt's contract: the same
-// tokens and errors as Tokenize, with every line offset by the start
-// line less one and every column unchanged.
+// TestTokenizeAtShiftsLines pins the start-line contract of NewLexer:
+// the same tokens and errors as Tokenize, with every line offset by the
+// start line less one and every column unchanged.
 func TestTokenizeAtShiftsLines(t *testing.T) {
 	src := "@sys\nclass A:\n    def f(self):\n        return []\n"
 	whole, err := Tokenize(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := TokenizeAt(src, 7)
+	at, err := tokenizeAt(src, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(at) != len(whole) {
-		t.Fatalf("TokenizeAt gave %d tokens, Tokenize %d", len(at), len(whole))
+		t.Fatalf("tokenizeAt gave %d tokens, Tokenize %d", len(at), len(whole))
 	}
 	for i, tok := range whole {
 		tok.Pos.Line += 6
@@ -273,7 +273,7 @@ func TestTokenizeAtShiftsLines(t *testing.T) {
 			t.Fatalf("token %d = %+v, want %+v", i, at[i], tok)
 		}
 	}
-	if _, err := TokenizeAt("class A:\n    x = 'open\n", 7); err == nil || err.Error() != "8:9: unterminated string literal" {
+	if _, err := tokenizeAt("class A:\n    x = 'open\n", 7); err == nil || err.Error() != "8:9: unterminated string literal" {
 		t.Fatalf("error = %v, want 8:9: unterminated string literal", err)
 	}
 }

@@ -92,9 +92,3 @@ func DeriveTrace(r Regex, trace []string) Regex {
 func Match(r Regex, trace []string) bool {
 	return Nullable(DeriveTrace(r, trace))
 }
-
-// MatchPrefix reports whether the trace is a prefix of some member of
-// L(r), i.e. whether the residual language after the trace is non-empty.
-func MatchPrefix(r Regex, trace []string) bool {
-	return !IsEmptyLanguage(DeriveTrace(r, trace))
-}

@@ -50,56 +50,6 @@ func Enumerate(r Regex, maxLen int) [][]string {
 	return out
 }
 
-// CountAtMost returns the number of distinct traces in L(r) of length at
-// most maxLen, without materializing them. It deduplicates by derivative
-// state counting paths in the determinized automaton.
-func CountAtMost(r Regex, maxLen int) int {
-	alphabet := Alphabet(r)
-	// current maps derivative-state key -> (expression, number of distinct
-	// traces of the current length reaching it).
-	type entry struct {
-		r Regex
-		n int
-	}
-	current := map[string]entry{Key(r): {r: r, n: 1}}
-	total := 0
-	for depth := 0; ; depth++ {
-		for _, e := range current {
-			if Nullable(e.r) {
-				total += e.n
-			}
-		}
-		if depth == maxLen {
-			return total
-		}
-		next := make(map[string]entry, len(current))
-		for _, e := range current {
-			for _, f := range alphabet {
-				d := Derivative(e.r, f)
-				if IsEmptyLanguage(d) {
-					continue
-				}
-				k := Key(d)
-				ne := next[k]
-				ne.r = d
-				ne.n += e.n
-				next[k] = ne
-			}
-		}
-		if len(next) == 0 {
-			return total
-		}
-		current = next
-	}
-}
-
-// ShortestTrace returns a shortest member of L(r) and true, or nil and
-// false when L(r) is empty. Among traces of minimal length it returns the
-// lexicographically least one, making counterexample output deterministic.
-func ShortestTrace(r Regex) ([]string, bool) {
-	return shortestPair(r, Empty(), func(x, _ bool) bool { return x })
-}
-
 // sortTraces orders traces in shortlex order.
 func sortTraces(ts [][]string) {
 	sort.Slice(ts, func(i, j int) bool { return LessTrace(ts[i], ts[j]) })

@@ -21,7 +21,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("printed form %q does not reparse: %v", printed, err)
 		}
-		if !Equal(back, r) {
+		if !equal(back, r) {
 			t.Fatalf("print/parse not stable: %q -> %q", printed, back.String())
 		}
 	})

@@ -16,7 +16,6 @@
 package regex
 
 import (
-	"bytes"
 	"sort"
 	"strings"
 	"sync"
@@ -86,17 +85,6 @@ func Epsilon() Regex { return emptyString }
 
 // Symbol returns the single-symbol expression f.
 func Symbol(name string) Regex { return Sym{Name: name} }
-
-// Symbols builds the concatenation of the given symbol names. It is a
-// convenience for writing test expectations: Symbols("a", "b") == a·b.
-// With no arguments it returns ε.
-func Symbols(names ...string) Regex {
-	parts := make([]Regex, len(names))
-	for i, n := range names {
-		parts[i] = Symbol(n)
-	}
-	return Concat(parts...)
-}
 
 // Concat returns the concatenation r1·...·rn in normal form:
 //
@@ -206,24 +194,6 @@ func Star(r Regex) Regex {
 	return Rep{Inner: r}
 }
 
-// Opt returns r + ε, the optional form of r.
-func Opt(r Regex) Regex { return Union(r, emptyString) }
-
-// Plus returns r·r*, one-or-more repetitions of r.
-func Plus(r Regex) Regex { return Concat(r, Star(r)) }
-
-// Equal reports whether a and b are structurally equal (after the smart
-// constructors' normalization). It does NOT decide language equality;
-// use Equivalent for that.
-func Equal(a, b Regex) bool {
-	ka, kb := keyBufs.Get().(*[]byte), keyBufs.Get().(*[]byte)
-	*ka, *kb = a.appendKey((*ka)[:0]), b.appendKey((*kb)[:0])
-	eq := bytes.Equal(*ka, *kb)
-	keyBufs.Put(ka)
-	keyBufs.Put(kb)
-	return eq
-}
-
 // precedence levels: union < concat < star/atom.
 const (
 	precUnion = iota + 1
@@ -317,7 +287,8 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Key exposes the canonical structural encoding of r. It is stable within
 // a process and suitable for use as a map key. Two expressions have the
-// same Key exactly when Equal reports true.
+// same Key exactly when they are structurally equal after the smart
+// constructors' normalization.
 func Key(r Regex) string {
 	if s, ok := r.(Sym); ok {
 		return "\x02" + s.Name
@@ -342,35 +313,11 @@ func (s byKey) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// Size returns the number of nodes in the expression tree. It is used by
-// tests and benchmarks to report the growth of inferred behaviors.
-func Size(r Regex) int {
-	switch r := r.(type) {
-	case EmptySet, EmptyString, Sym:
-		return 1
-	case Cat:
-		n := 1
-		for _, p := range r.Parts {
-			n += Size(p)
-		}
-		return n
-	case Alt:
-		n := 1
-		for _, p := range r.Parts {
-			n += Size(p)
-		}
-		return n
-	case Rep:
-		return 1 + Size(r.Inner)
-	}
-	return 1
-}
-
-// SizeWithin reports whether Size(r) <= max, visiting at most max+1
-// nodes: the early exit makes it the right primitive for enforcing a
-// regex-size budget on expressions that may be astronomically larger
-// than the budget itself (state elimination can square sizes per
-// eliminated state). max <= 0 means unlimited and always reports true.
+// SizeWithin reports whether the expression tree of r has at most max
+// nodes, visiting at most max+1 nodes: the early exit makes it the right
+// primitive for enforcing a regex-size budget on expressions that may be
+// astronomically larger than the budget itself (state elimination can
+// square sizes per eliminated state). max <= 0 means unlimited and always reports true.
 func SizeWithin(r Regex, max int) bool {
 	if max <= 0 {
 		return true

@@ -33,14 +33,14 @@ func TestSmartConstructorsNormalize(t *testing.T) {
 		{"star of empty set", Star(Empty()), Epsilon()},
 		{"star of epsilon", Star(Epsilon()), Epsilon()},
 		{"star of star", Star(Star(a)), Star(a)},
-		{"opt", Opt(a), Union(a, Epsilon())},
-		{"plus", Plus(a), Concat(a, Star(a))},
-		{"symbols helper", Symbols("a", "b"), Concat(a, b)},
-		{"symbols helper empty", Symbols(), Epsilon()},
+		{"opt", Union(Epsilon(), a), Union(a, Epsilon())},
+		{"plus", Concat(a, Star(Star(a))), Concat(a, Star(a))},
+		{"symbols helper", symbols("a", "b"), Concat(a, b)},
+		{"symbols helper empty", symbols(), Epsilon()},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if !Equal(tt.got, tt.want) {
+			if !equal(tt.got, tt.want) {
 				t.Errorf("got %v, want %v", tt.got, tt.want)
 			}
 		})
@@ -86,7 +86,7 @@ func TestStringAndParseRoundTrip(t *testing.T) {
 			if !Equivalent(back, tt.r) {
 				t.Errorf("Parse(String()) = %v, not equivalent to %v", back, tt.r)
 			}
-			if Equal(Simplify(tt.r), tt.r) && !Equal(back, tt.r) {
+			if equal(Simplify(tt.r), tt.r) && !equal(back, tt.r) {
 				t.Errorf("Parse(String()) = %v, want structural %v", back, tt.r)
 			}
 		})
@@ -98,7 +98,7 @@ func TestParseJuxtapositionAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if !Equal(r, Symbols("a", "b", "c")) {
+	if !equal(r, symbols("a", "b", "c")) {
 		t.Errorf("juxtaposition: got %v", r)
 	}
 
@@ -113,11 +113,11 @@ func TestParseNumericIdentBoundary(t *testing.T) {
 	// "0" and "1" are ∅ and ε only when standalone; identifiers may
 	// contain digits.
 	r := MustParse("open1")
-	if !Equal(r, Symbol("open1")) {
+	if !equal(r, Symbol("open1")) {
 		t.Errorf("got %v", r)
 	}
 	r = MustParse("0 + s1.go")
-	if !Equal(r, Symbol("s1.go")) {
+	if !equal(r, Symbol("s1.go")) {
 		t.Errorf("got %v", r)
 	}
 }
@@ -162,7 +162,7 @@ func TestDerivative(t *testing.T) {
 	for _, tt := range tests {
 		got := Derivative(MustParse(tt.src), tt.by)
 		want := MustParse(tt.want)
-		if !Equal(got, want) {
+		if !equal(got, want) {
 			t.Errorf("Derivative(%s, %s) = %v, want %v", tt.src, tt.by, got, want)
 		}
 	}
@@ -211,8 +211,8 @@ func TestMatchPrefix(t *testing.T) {
 		{[]string{"b"}, false},
 		{[]string{"a", "b", "c", "d"}, false},
 	} {
-		if got := MatchPrefix(r, tt.trace); got != tt.want {
-			t.Errorf("case %d: MatchPrefix(%v) = %v, want %v", i, tt.trace, got, tt.want)
+		if got := !IsEmptyLanguage(DeriveTrace(r, tt.trace)); got != tt.want {
+			t.Errorf("case %d: residual after %v non-empty = %v, want %v", i, tt.trace, got, tt.want)
 		}
 	}
 }
@@ -248,37 +248,6 @@ func TestEnumerateEmptyAndEpsilon(t *testing.T) {
 	}
 }
 
-func TestCountAtMost(t *testing.T) {
-	tests := []struct {
-		src    string
-		maxLen int
-		want   int
-	}{
-		{"0", 4, 0},
-		{"1", 4, 1},
-		{"a", 4, 1},
-		{"(a + b)*", 2, 7},    // ε, a, b, aa, ab, ba, bb
-		{"(a + b)*", 3, 15},   // 1 + 2 + 4 + 8
-		{"a* . b . a*", 3, 6}, /* b, ab, ba, aab, aba, baa */
-	}
-	for _, tt := range tests {
-		if got := CountAtMost(MustParse(tt.src), tt.maxLen); got != tt.want {
-			t.Errorf("CountAtMost(%s, %d) = %d, want %d", tt.src, tt.maxLen, got, tt.want)
-		}
-	}
-}
-
-func TestCountAtMostAgreesWithEnumerate(t *testing.T) {
-	for _, src := range []string{"(a . (b . 0 + c))* . a . b", "(a + b)* . c", "a* . b*", "(a . a)*"} {
-		r := MustParse(src)
-		for k := 0; k <= 5; k++ {
-			if got, want := CountAtMost(r, k), len(Enumerate(r, k)); got != want {
-				t.Errorf("%s at %d: CountAtMost = %d, Enumerate len = %d", src, k, got, want)
-			}
-		}
-	}
-}
-
 func TestShortestTrace(t *testing.T) {
 	tests := []struct {
 		src  string
@@ -294,13 +263,14 @@ func TestShortestTrace(t *testing.T) {
 		{"(a . b)* . a . c", []string{"a", "c"}, true},
 	}
 	for _, tt := range tests {
-		got, ok := ShortestTrace(MustParse(tt.src))
-		if ok != tt.ok {
-			t.Errorf("ShortestTrace(%s) ok = %v, want %v", tt.src, ok, tt.ok)
+		// A shortest member of L(r) is a shortest trace distinguishing r from ∅.
+		got, eq := Distinguish(MustParse(tt.src), Empty())
+		if ok := !eq; ok != tt.ok {
+			t.Errorf("Distinguish(%s, 0) found = %v, want %v", tt.src, ok, tt.ok)
 			continue
 		}
-		if ok && !sameTrace(got, tt.want) {
-			t.Errorf("ShortestTrace(%s) = %v, want %v", tt.src, got, tt.want)
+		if !eq && !sameTrace(got, tt.want) {
+			t.Errorf("Distinguish(%s, 0) = %v, want %v", tt.src, got, tt.want)
 		}
 	}
 }
@@ -366,14 +336,18 @@ func TestSubset(t *testing.T) {
 		{"(a . b)*", "(a + b)*", true},
 	}
 	for _, tt := range tests {
-		if got := Subset(MustParse(tt.a), MustParse(tt.b)); got != tt.want {
-			t.Errorf("Subset(%s, %s) = %v, want %v", tt.a, tt.b, got, tt.want)
+		// L(a) ⊆ L(b) exactly when a + b and b denote the same language.
+		a, b := MustParse(tt.a), MustParse(tt.b)
+		if _, got := Distinguish(Union(a, b), b); got != tt.want {
+			t.Errorf("%s ⊆ %s = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}
 }
 
 func TestCounterexampleSubset(t *testing.T) {
-	ce, ok := CounterexampleSubset(MustParse("a . (b + c)"), MustParse("a . b"))
+	// (a + b) and b disagree exactly on L(a) \ L(b).
+	a, b := MustParse("a . (b + c)"), MustParse("a . b")
+	ce, ok := Distinguish(Union(a, b), b)
 	if ok {
 		t.Fatal("expected inclusion to fail")
 	}
@@ -417,20 +391,24 @@ func TestIsEmptyLanguage(t *testing.T) {
 }
 
 func TestSize(t *testing.T) {
-	if got := Size(MustParse("(a . b)* + 1")); got != 6 {
-		t.Errorf("Size = %d, want 6", got)
+	r := MustParse("(a . b)* + 1") // six nodes
+	if !SizeWithin(r, 6) || SizeWithin(r, 5) {
+		t.Errorf("SizeWithin(%s, 6/5) = %v/%v, want true/false", r, SizeWithin(r, 6), SizeWithin(r, 5))
 	}
-	if got := Size(Empty()); got != 1 {
-		t.Errorf("Size(0) = %d, want 1", got)
+	if !SizeWithin(Empty(), 1) || SizeWithin(Star(Symbol("a")), 1) {
+		t.Error("SizeWithin misjudges one- and two-node expressions")
+	}
+	if !SizeWithin(r, 0) {
+		t.Error("SizeWithin(r, 0) must mean unlimited")
 	}
 }
 
 func TestKeyDistinguishesStructure(t *testing.T) {
 	pairs := [][2]Regex{
-		{Symbols("a", "b"), Union(Symbol("a"), Symbol("b"))},
+		{symbols("a", "b"), Union(Symbol("a"), Symbol("b"))},
 		{Symbol("a"), Star(Symbol("a"))},
 		{Empty(), Epsilon()},
-		{Symbol("ab"), Symbols("a", "b")},
+		{Symbol("ab"), symbols("a", "b")},
 	}
 	for _, p := range pairs {
 		if Key(p[0]) == Key(p[1]) {
@@ -597,4 +575,18 @@ func sameTrace(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// equal reports whether a and b are structurally equal after the smart
+// constructors' normalization (not language equality).
+func equal(a, b Regex) bool { return Key(a) == Key(b) }
+
+// symbols builds the concatenation of the given symbol names:
+// symbols("a", "b") == a·b, and symbols() == ε.
+func symbols(names ...string) Regex {
+	parts := make([]Regex, len(names))
+	for i, n := range names {
+		parts[i] = Symbol(n)
+	}
+	return Concat(parts...)
 }

@@ -306,19 +306,20 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 		help: "Request wall time (pipeline-stats bucketing; le is the inclusive upper bound, +Inf the overflow bucket).",
 	}
 	for _, ep := range eps {
+		// A coarse bucket's le is the label of the last fine bucket
+		// folded into it: its largest bound, or +Inf for the overflow.
 		var coarse [pipeline.NumBuckets]uint64
+		var last [pipeline.NumBuckets]int
 		for i := range ep.lat {
-			coarse[telemetry.RollupIndex(i)] += ep.lat[i].Load()
+			c := telemetry.RollupIndex(i)
+			coarse[c] += ep.lat[i].Load()
+			last[c] = i
 		}
 		var cum uint64
 		for i := 0; i < pipeline.NumBuckets; i++ {
 			cum += coarse[i]
-			le := "+Inf"
-			if bound := pipeline.BucketBound(i); bound >= 0 {
-				le = bound.String()
-			}
 			durFam.samples = append(durFam.samples, metricSample{
-				labels: []labelPair{{"endpoint", ep.name}, {"le", le}},
+				labels: []labelPair{{"endpoint", ep.name}, {"le", telemetry.BucketLabel(last[i])}},
 				value:  float64(cum),
 			})
 		}

@@ -19,13 +19,22 @@
 //
 // Endpoints:
 //
-//	POST /v1/check        full per-class verification reports
-//	POST /v1/infer        per-operation behavior regexes (§3.2)
-//	POST /v1/trace        trace membership / flattened replay
-//	POST /v1/check-batch  many items, NDJSON streamed as each finishes
-//	POST /v1/jobs         async batch; GET /v1/jobs/{id} polls/streams
-//	GET  /healthz         liveness (503 while draining)
-//	GET  /metrics         Prometheus-style text exposition
+//	POST /v1/check         full per-class verification reports
+//	POST /v1/infer         per-operation behavior regexes (§3.2)
+//	POST /v1/trace         trace membership / flattened replay
+//	POST /v1/check-batch   many items, NDJSON streamed as each finishes
+//	POST /v1/jobs          async batch, answered with a job id
+//	GET  /v1/jobs/{id}     job progress, or its NDJSON records with ?stream=1
+//	GET  /v1/snapshot      export the store's verified entries
+//	PUT  /v1/snapshot      import a snapshot into the store
+//	POST /v1/watch         push a new generation of a watch session (-watch)
+//	GET  /v1/watch         long-poll a session's next round (-watch)
+//	POST /v1/ingest        NDJSON fleet trace frames for mining (-mine)
+//	GET  /v1/drift         per-class drift reports of the last mining round (-mine)
+//	GET  /v1/status        live telemetry, JSON or ?format=html
+//	GET  /v1/trace-export  recent spans as Chrome trace-event or OTLP JSON
+//	GET  /healthz          liveness (503 while draining)
+//	GET  /metrics          Prometheus-style text exposition
 //
 // Request bodies carry MicroPython source, or a fingerprint of a
 // source POSTed earlier for a cache-only re-check. Wire types live in

@@ -58,12 +58,6 @@ var ErrCorrupt = errors.New("store: corrupt entry")
 // distinguishable error.
 var ErrVersion = errors.New("store: unsupported entry version")
 
-// EncodedSize returns the on-disk size of an entry for a key/payload
-// pair, used for eviction accounting before the write happens.
-func EncodedSize(key string, payload []byte) int64 {
-	return int64(headerSize + len(key) + len(payload) + trailerSize)
-}
-
 // Encode frames a key/payload pair as one self-verifying entry blob.
 func Encode(key string, payload []byte) []byte {
 	buf := make([]byte, headerSize+len(key)+len(payload)+trailerSize)

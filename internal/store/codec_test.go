@@ -18,9 +18,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		blob := Encode(c.key, []byte(c.payload))
-		if got := EncodedSize(c.key, []byte(c.payload)); got != int64(len(blob)) {
-			t.Errorf("EncodedSize = %d, len(Encode) = %d", got, len(blob))
-		}
 		key, payload, err := Decode(blob)
 		if err != nil {
 			t.Fatalf("Decode: %v", err)

@@ -185,7 +185,7 @@ func TestGetQuarantinesCorruptionFoundAtRead(t *testing.T) {
 }
 
 func TestEvictionIsLRU(t *testing.T) {
-	entrySize := EncodedSize("key-a", bytes.Repeat([]byte("x"), 100))
+	entrySize := int64(len(Encode("key-a", bytes.Repeat([]byte("x"), 100))))
 	s := open(t, Config{Dir: t.TempDir(), MaxBytes: 2 * entrySize})
 	payload := bytes.Repeat([]byte("x"), 100)
 	s.Put("key-a", payload)

@@ -14,9 +14,7 @@ import (
 //     true value, comfortably inside the 10% accuracy the status
 //     endpoint promises;
 //   - every decade anchor (1µs, 10µs, ..., 10s) is an exact bucket
-//     bound, and the five coarse pipeline-stats bounds (10µs..100ms)
-//     are all decade anchors — so fine counts roll up losslessly to
-//     the legacy /metrics exposition (RollupIndex).
+//     bound, so RollupIndex folds fine buckets into whole decades.
 const (
 	// bucketsPerDecade fixes the ratio r = 10^(1/16) ≈ 1.1548.
 	bucketsPerDecade = 16
@@ -31,9 +29,8 @@ const (
 )
 
 // latBounds[i] is the inclusive upper bound of bucket i in nanoseconds.
-// Decade anchors are computed in integer arithmetic so bucket
-// assignment agrees exactly with pipeline.BucketIndex at the bounds the
-// two schemes share.
+// Decade anchors are computed in integer arithmetic, so a duration of
+// exactly 10µs, 100µs, ... lands in the bucket that the anchor closes.
 var latBounds = func() [numLatBounds]int64 {
 	var b [numLatBounds]int64
 	decade := int64(1000) // 1µs in ns
@@ -81,11 +78,9 @@ func BucketLabel(i int) string {
 	return "+Inf"
 }
 
-// RollupIndex maps a fine bucket to the coarse 6-bucket pipeline-stats
-// scheme (bounds 10µs, 100µs, 1ms, 10ms, 100ms, +Inf). Because the
-// coarse bounds are exact fine bounds, the mapping is lossless: summing
-// fine counts by RollupIndex yields byte-for-byte the histogram the
-// coarse scheme would have recorded.
+// RollupIndex maps a fine bucket to one of six coarse buckets, one per
+// decade with bounds 10µs, 100µs, 1ms, 10ms, 100ms, then +Inf: the
+// columns of the pipeline-stats table and the le buckets of /metrics.
 func RollupIndex(fine int) int {
 	switch {
 	case fine <= 1*bucketsPerDecade:

@@ -177,7 +177,6 @@ type Engine struct {
 
 	mu     sync.Mutex
 	start  time.Time
-	last   time.Time
 	schema map[string]int
 	series []seriesInfo
 	tiers  []tierRing
@@ -215,13 +214,6 @@ func (e *Engine) Start() time.Time {
 	return e.start
 }
 
-// LastTick returns the most recent tick time.
-func (e *Engine) LastTick() time.Time {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.last
-}
-
 // Tick scrapes the source once, records the snapshot into every tier
 // that is due, and re-evaluates SLOs. The caller supplies the clock so
 // tests can drive synthetic time.
@@ -235,7 +227,6 @@ func (e *Engine) Tick(now time.Time) {
 	if e.start.IsZero() {
 		e.start = now
 	}
-	e.last = now
 	sl := e.buildSlot(now, s)
 	base := e.tiers[0].interval
 	for i := range e.tiers {
@@ -374,25 +365,6 @@ func (e *Engine) endpointLocked(name string, window time.Duration) (EndpointStat
 	return st, true
 }
 
-// BucketDiff returns the windowed per-bucket latency counts for one
-// endpoint — the raw histogram behind Endpoint's quantiles, used to
-// link exemplars to the bucket they landed in.
-func (e *Engine) BucketDiff(name string, window time.Duration) ([NumLatBuckets]uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var diff [NumLatBuckets]uint64
-	newest, old, ok := e.pairFor(window)
-	if !ok {
-		return diff, false
-	}
-	hn, ok := newest.hists[name]
-	if !ok {
-		return diff, false
-	}
-	expand(hn.buckets, old.hists[name].buckets, &diff)
-	return diff, true
-}
-
 // Endpoints lists every histogram family seen in the latest snapshot,
 // sorted.
 func (e *Engine) Endpoints() []string {
@@ -408,41 +380,6 @@ func (e *Engine) Endpoints() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// CounterRate returns a counter's per-second rate over a window. For a
-// gauge series it returns the latest value instead (rates of
-// instantaneous values are meaningless).
-func (e *Engine) CounterRate(name string, window time.Duration) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	i, ok := e.schema[name]
-	if !ok {
-		return 0, false
-	}
-	if e.series[i].gauge {
-		return e.latestLocked(i)
-	}
-	newest, old, ok := e.pairFor(window)
-	if !ok {
-		return 0, false
-	}
-	dt := newest.at.Sub(old.at)
-	if dt <= 0 {
-		return 0, false
-	}
-	var nv, ov float64
-	if i < len(newest.vals) {
-		nv = newest.vals[i]
-	}
-	if i < len(old.vals) {
-		ov = old.vals[i]
-	}
-	d := nv - ov
-	if d < 0 {
-		d = 0
-	}
-	return d / dt.Seconds(), true
 }
 
 // Value returns the latest sampled value of any series (counter or

@@ -13,7 +13,7 @@ func paperExample() ir.Program {
 	return ir.NewLoop(ir.NewSeq(
 		ir.NewCall("a"),
 		ir.NewIf(
-			ir.NewSeq(ir.NewCall("b"), ir.NewReturn()),
+			ir.NewSeq(ir.NewCall("b"), ir.Return{}),
 			ir.NewCall("c"),
 		),
 	))
@@ -34,8 +34,8 @@ func TestAxioms(t *testing.T) {
 		{"SKIP", Ongoing, nil, ir.NewSkip(), true},
 		{"SKIP wrong status", Returned, nil, ir.NewSkip(), false},
 		{"SKIP nonempty", Ongoing, []string{"f"}, ir.NewSkip(), false},
-		{"RETURN", Returned, nil, ir.NewReturn(), true},
-		{"RETURN wrong status", Ongoing, nil, ir.NewReturn(), false},
+		{"RETURN", Returned, nil, ir.Return{}, true},
+		{"RETURN wrong status", Ongoing, nil, ir.Return{}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -55,7 +55,7 @@ func TestSeqRules(t *testing.T) {
 		t.Error("[a] should not be ongoing in a();b()")
 	}
 	// Early return short-circuits the continuation (SEQ-1).
-	earlyRet := ir.NewSeq(ir.NewCall("a"), ir.NewReturn(), ir.NewCall("b"))
+	earlyRet := ir.NewSeq(ir.NewCall("a"), ir.Return{}, ir.NewCall("b"))
 	if !In(Returned, []string{"a"}, earlyRet) {
 		t.Error("SEQ-1: [a] should be returned in a();return;b()")
 	}
@@ -72,7 +72,7 @@ func TestIfRules(t *testing.T) {
 	if In(Ongoing, []string{"a", "b"}, p) {
 		t.Error("branches do not sequence")
 	}
-	mixed := ir.NewIf(ir.NewReturn(), ir.NewCall("b"))
+	mixed := ir.NewIf(ir.Return{}, ir.NewCall("b"))
 	if !In(Returned, nil, mixed) {
 		t.Error("then-branch return should be derivable")
 	}
@@ -158,13 +158,13 @@ func TestEnumerateMatchesIn(t *testing.T) {
 	programs := []ir.Program{
 		paperExample(),
 		ir.NewSkip(),
-		ir.NewReturn(),
+		ir.Return{},
 		ir.NewCall("a"),
-		ir.NewSeq(ir.NewCall("a"), ir.NewReturn(), ir.NewCall("b")),
+		ir.NewSeq(ir.NewCall("a"), ir.Return{}, ir.NewCall("b")),
 		ir.NewLoop(ir.NewSkip()),
-		ir.NewLoop(ir.NewReturn()),
-		ir.NewLoop(ir.NewIf(ir.NewCall("a"), ir.NewReturn())),
-		ir.NewIf(ir.NewLoop(ir.NewCall("a")), ir.NewSeq(ir.NewCall("b"), ir.NewReturn())),
+		ir.NewLoop(ir.Return{}),
+		ir.NewLoop(ir.NewIf(ir.NewCall("a"), ir.Return{})),
+		ir.NewIf(ir.NewLoop(ir.NewCall("a")), ir.NewSeq(ir.NewCall("b"), ir.Return{})),
 		ir.NewSeq(ir.NewLoop(ir.NewCall("a")), ir.NewCall("b")),
 	}
 	const maxLen = 4
@@ -213,7 +213,7 @@ func assertEnumerateAgreesWithIn(t *testing.T, p ir.Program, maxLen int) {
 
 func TestLanguageDeduplicatesAndSorts(t *testing.T) {
 	// A program where the same trace arises both ongoing and returned.
-	p := ir.NewIf(ir.NewSeq(ir.NewCall("a"), ir.NewReturn()), ir.NewCall("a"))
+	p := ir.NewIf(ir.NewSeq(ir.NewCall("a"), ir.Return{}), ir.NewCall("a"))
 	got := Language(p, 3)
 	if len(got) != 1 || len(got[0]) != 1 || got[0][0] != "a" {
 		t.Fatalf("Language = %v, want [[a]]", got)

@@ -249,7 +249,7 @@ func paperExampleProgram() ir.Program {
 	return ir.NewLoop(ir.NewSeq(
 		ir.NewCall("a"),
 		ir.NewIf(
-			ir.NewSeq(ir.NewCall("b"), ir.NewReturn()),
+			ir.NewSeq(ir.NewCall("b"), ir.Return{}),
 			ir.NewCall("c"),
 		),
 	))

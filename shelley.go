@@ -14,6 +14,7 @@ import (
 	"github.com/shelley-go/shelley/internal/hw"
 	"github.com/shelley-go/shelley/internal/interp"
 	"github.com/shelley-go/shelley/internal/learn"
+	"github.com/shelley-go/shelley/internal/ltlf"
 	"github.com/shelley-go/shelley/internal/model"
 	"github.com/shelley-go/shelley/internal/nusmv"
 	"github.com/shelley-go/shelley/internal/obs"
@@ -543,7 +544,15 @@ func (c *Class) ExportNuSMV() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return nusmv.ExportClaims(c.Name(), d, c.Claims())
+	claims := make([]ltlf.Formula, len(c.model.Claims))
+	for i, cl := range c.model.Claims {
+		f, _, err := cl.Parse()
+		if err != nil {
+			return "", fmt.Errorf("nusmv: claim %q: %w", cl.Formula, err)
+		}
+		claims[i] = f
+	}
+	return nusmv.Export(c.Name(), d, claims), nil
 }
 
 // LearnKV is Learn with the Kearns–Vazirani classification-tree
