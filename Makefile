@@ -35,16 +35,34 @@ bench-record:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzzing pass over every parser and the session's block-by-block
-# parse (seeds always run under `test`).
+# Every fuzz target, as package:Target, each run for FUZZTIME (CI runs
+# the list at FUZZTIME=10s). TestFuzzTargetsListed fails when a Fuzz
+# function is missing here or an entry names none.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = \
+	.:FuzzCheckPipeline \
+	.:FuzzSessionParseMatchesWhole \
+	./internal/automata:FuzzDeterminize \
+	./internal/automata:FuzzDeterminizeMinimizeMatchOracle \
+	./internal/automata:FuzzIntersect \
+	./internal/automata:FuzzMinimize \
+	./internal/automata:FuzzSearchMatchesProduct \
+	./internal/automata:FuzzToRegex \
+	./internal/ir:FuzzHashStability \
+	./internal/ir:FuzzParse \
+	./internal/ltlf:FuzzParse \
+	./internal/mine:FuzzIngestFrame \
+	./internal/pyparse:FuzzParseModule \
+	./internal/pytoken:FuzzTokenCoverage \
+	./internal/pytoken:FuzzTokenize \
+	./internal/regex:FuzzParse \
+	./internal/server:FuzzBatchRequest \
+	./internal/store:FuzzStoreDecode
+
 fuzz:
-	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/pytoken
-	$(GO) test -fuzz=FuzzTokenCoverage -fuzztime=30s ./internal/pytoken
-	$(GO) test -fuzz=FuzzParseModule -fuzztime=30s ./internal/pyparse
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/regex
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/ltlf
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/ir
-	$(GO) test -run='^$$' -fuzz='^FuzzSessionParseMatchesWhole$$' -fuzztime=30s .
+	set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME); \
+	done
 
 # Regenerate every paper artifact (tables, figures, theorems).
 experiments:

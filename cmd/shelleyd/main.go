@@ -111,14 +111,17 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) (int, error) {
 		return 2, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 
+	ring := *traceRing
+	if *traceFile != "" && ring <= 0 {
+		ring = 4096 // -trace alone keeps the default ring for the shutdown file
+	}
 	cfg := server.Config{
 		Workers:           *workers,
 		QueueDepth:        *queue,
 		RequestTimeout:    *timeout,
 		CheckWorkers:      *checkWorkers,
 		MaxModules:        *maxModules,
-		Tracing:           *traceFile != "" || *traceRing > 0,
-		TraceRingSize:     *traceRing,
+		TraceRingSize:     ring,
 		Mine:              *mineOn,
 		MineInterval:      *mineInterval,
 		Watch:             *watchOn,

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	shelleylearn -class NAME [-strategy rs|classic] [-dot] FILE.py [FILE.py ...]
+//	shelleylearn -class NAME [-algo lstar|kv] [-conform] [-dot] FILE.py [FILE.py ...]
 package main
 
 import (

@@ -468,3 +468,50 @@ func isEmpty(d *DFA) bool {
 	_, ok := d.ShortestAccepted()
 	return !ok
 }
+
+// ShortestAccepted returns a shortest accepted trace and true, or nil and
+// false when the language is empty. Among shortest traces it returns the
+// one over the lexicographically least symbols (the alphabet is sorted
+// and the search expands in alphabet order), making counterexample
+// output deterministic — the property §2.2's error messages rely on.
+func (d *DFA) ShortestAccepted() ([]string, bool) {
+	w, _ := d.Search(d.start, Side{Start: -1}, func(a, _ bool) bool { return a }, 1, nil)
+	if len(w) == 0 {
+		return nil, false
+	}
+	return w[0], true
+}
+
+// Accepts reports whether the NFA accepts the trace, by on-the-fly
+// subset simulation.
+func (n *NFA) Accepts(trace []string) bool {
+	c := &closer{n: n}
+	current := c.closure([]int{n.start})
+	var next []int
+	for _, sym := range trace {
+		si := symbol(n.alphabet, sym)
+		if si < 0 {
+			return false
+		}
+		next = next[:0]
+		for _, s := range current {
+			for _, e := range n.trans[s] {
+				if e.sym == si {
+					next = append(next, e.to)
+				}
+			}
+		}
+		if len(next) == 0 {
+			return false
+		}
+		current = c.closure(next)
+	}
+	return n.anyAccepting(current)
+}
+
+// Alphabet returns the automaton's alphabet in sorted order. The caller
+// must not mutate the returned slice.
+func (n *NFA) Alphabet() []string { return n.alphabet }
+
+// Accepting reports whether state s accepts.
+func (n *NFA) Accepting(s int) bool { return n.accept[s] }

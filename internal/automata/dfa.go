@@ -200,19 +200,6 @@ func (d *DFA) Complement() *DFA {
 	return out
 }
 
-// ShortestAccepted returns a shortest accepted trace and true, or nil and
-// false when the language is empty. Among shortest traces it returns the
-// one over the lexicographically least symbols (the alphabet is sorted
-// and the search expands in alphabet order), making counterexample
-// output deterministic — the property §2.2's error messages rely on.
-func (d *DFA) ShortestAccepted() ([]string, bool) {
-	w, _ := d.Search(d.start, Side{Start: -1}, func(a, _ bool) bool { return a }, 1, nil)
-	if len(w) == 0 {
-		return nil, false
-	}
-	return w[0], true
-}
-
 // Reachable returns an equivalent DFA with unreachable states removed
 // (states renumbered in BFS order from the start state).
 func (d *DFA) Reachable() *DFA {

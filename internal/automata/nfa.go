@@ -47,10 +47,6 @@ func NewNFA(alphabet []string) *NFA {
 	return n
 }
 
-// Alphabet returns the automaton's alphabet in sorted order. The caller
-// must not mutate the returned slice.
-func (n *NFA) Alphabet() []string { return n.alphabet }
-
 // Start returns the start state.
 func (n *NFA) Start() int { return n.start }
 
@@ -59,9 +55,6 @@ func (n *NFA) SetStart(s int) { n.start = s }
 
 // NumStates returns the number of states.
 func (n *NFA) NumStates() int { return len(n.trans) }
-
-// Accepting reports whether state s accepts.
-func (n *NFA) Accepting(s int) bool { return n.accept[s] }
 
 // SetAccepting marks state s as accepting or not.
 func (n *NFA) SetAccepting(s int, accepting bool) { n.accept[s] = accepting }
@@ -154,33 +147,6 @@ func (n *NFA) anyAccepting(set []int) bool {
 		}
 	}
 	return false
-}
-
-// Accepts reports whether the NFA accepts the trace, by on-the-fly
-// subset simulation.
-func (n *NFA) Accepts(trace []string) bool {
-	c := &closer{n: n}
-	current := c.closure([]int{n.start})
-	var next []int
-	for _, sym := range trace {
-		si := symbol(n.alphabet, sym)
-		if si < 0 {
-			return false
-		}
-		next = next[:0]
-		for _, s := range current {
-			for _, e := range n.trans[s] {
-				if e.sym == si {
-					next = append(next, e.to)
-				}
-			}
-		}
-		if len(next) == 0 {
-			return false
-		}
-		current = c.closure(next)
-	}
-	return n.anyAccepting(current)
 }
 
 // Determinize performs the subset construction, producing a DFA that

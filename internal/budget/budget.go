@@ -67,22 +67,16 @@ func Default() Limits {
 // Unlimited reports whether l imposes no limits at all.
 func (l Limits) Unlimited() bool { return l == Limits{} }
 
-// Key returns a short canonical encoding of the limits for use in
-// content-addressed cache keys, so a result computed under one budget
-// is never served to a request with another: a build that failed with
-// ErrBudgetExceeded is cached deterministically for its budget, and a
-// retry with a larger budget hashes to a fresh key and can succeed.
-// Unlimited limits encode as "" (pre-budget keys are unchanged).
+// AppendKey appends a short canonical encoding of the limits to b, for
+// use in content-addressed cache keys, so a result computed under one
+// budget is never served to a request with another: a build that failed
+// with ErrBudgetExceeded is cached deterministically for its budget, and
+// a retry with a larger budget hashes to a fresh key and can succeed.
+// Unlimited limits append nothing (pre-budget keys are unchanged).
 // Cache layers key each stage by the projection of the limits onto the
-// resources that stage can consume (zeroing the rest before calling
-// Key), so entries don't fragment on limits that cannot affect them —
-// e.g. two requests differing only in MaxSearchNodes share DFAs.
-func (l Limits) Key() string {
-	var buf [64]byte
-	return string(l.AppendKey(buf[:0]))
-}
-
-// AppendKey appends Key() to b.
+// resources that stage can consume (zeroing the rest first), so entries
+// don't fragment on limits that cannot affect them — e.g. two requests
+// differing only in MaxSearchNodes share DFAs.
 func (l Limits) AppendKey(b []byte) []byte {
 	if l.Unlimited() {
 		return b

@@ -85,3 +85,9 @@ func TestZeroLimitCountsNothing(t *testing.T) {
 		t.Fatalf("N = %d, want 10000", g.N())
 	}
 }
+
+// Key returns the limits' AppendKey encoding as a string.
+func (l Limits) Key() string {
+	var buf [64]byte
+	return string(l.AppendKey(buf[:0]))
+}

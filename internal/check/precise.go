@@ -78,10 +78,13 @@ func flattenExitAware(cfg config, c *model.Class, alphabet []string) (*flatAutom
 		var infos []exitInfo
 		for _, e := range op.Method.Exits {
 			expr, ok := fine.ByExit[e.ID]
-			if !ok {
+			if ok {
+				expr = regex.Simplify(expr)
+			}
+			if !ok || regex.IsEmptyLanguage(expr) {
 				continue // unreachable return (e.g. dead code after return)
 			}
-			b, err := cfg.minimalDFA(regex.Simplify(expr))
+			b, err := cfg.minimalDFA(expr)
 			if err != nil {
 				return nil, err
 			}

@@ -159,3 +159,53 @@ func TestPreciseHandlesFallThroughBodies(t *testing.T) {
 		t.Error("spec DFA should accept repeated steps")
 	}
 }
+
+// TestPreciseSkipsUnreachableReturn: a return right after a return can
+// never run, so exit-aware flattening gives it no exit — no copy of its
+// empty behavior, which would be a node without edges, and no wiring of
+// its continuations.
+func TestPreciseSkipsUnreachableReturn(t *testing.T) {
+	const src = `@sys
+class Dev:
+    @op_initial_final
+    def a(self):
+        return ["a"]
+
+@sys(["d"])
+class Ctl:
+    def __init__(self):
+        self.d = Dev()
+
+    @op_initial_final
+    def go(self):
+        self.d.a()
+        return ["go"]
+        return ["stop"]
+
+    @op_final
+    def stop(self):
+        self.d.a()
+        return ["stop"]
+`
+	classes, reg, err := composites(src)
+	if err != nil || len(classes) != 1 {
+		t.Fatalf("composites: %d, %v", len(classes), err)
+	}
+	c := classes[0]
+	if !hasUnreachableReturn(c) {
+		t.Fatal("go's second return should be unreachable")
+	}
+	alphabet, err := subsystemAlphabet(c, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := flattenExitAware(buildConfig(nil), c, alphabet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, edges := range flat.edges {
+		if len(edges) == 0 && !flat.accept[i] {
+			t.Errorf("node %d has no edges and does not accept: a copy of an unreachable exit's behavior", i)
+		}
+	}
+}

@@ -96,10 +96,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // Node returns the node with the given id.
 func (g *Graph) Node(id int) Node { return g.nodes[id] }
 
-// Methods returns the method names in source order. The caller must not
-// mutate the returned slice.
-func (g *Graph) Methods() []string { return g.methods }
-
 // ClassGraph is the class-level companion of the method graph, used by
 // incremental re-verification to propagate invalidation between module
 // generations: an arc runs from every composite class to each class it

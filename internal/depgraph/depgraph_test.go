@@ -45,7 +45,7 @@ func TestFig3SectorGraph(t *testing.T) {
 	if got := g.NumNodes(); got != 10 {
 		t.Errorf("nodes = %d, want 10", got)
 	}
-	if got := g.Methods(); !reflect.DeepEqual(got, []string{"open_a", "clean_a", "close_a", "open_b"}) {
+	if got := g.methods; !reflect.DeepEqual(got, []string{"open_a", "clean_a", "close_a", "open_b"}) {
 		t.Errorf("methods = %v", got)
 	}
 

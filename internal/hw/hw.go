@@ -106,12 +106,6 @@ type Pin struct {
 	board *Board
 }
 
-// ID returns the pin number.
-func (p *Pin) ID() int { return p.id }
-
-// Mode returns the pin direction.
-func (p *Pin) Mode() Mode { return p.mode }
-
 // On drives an output pin high. Driving an input pin is an error (a
 // wiring bug worth surfacing rather than masking).
 func (p *Pin) On() error { return p.set(true) }

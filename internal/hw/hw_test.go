@@ -9,8 +9,8 @@ import (
 func TestPinLifecycle(t *testing.T) {
 	b := NewBoard()
 	p := b.Pin(27, Out)
-	if p.ID() != 27 || p.Mode() != Out {
-		t.Fatalf("pin = %d/%v", p.ID(), p.Mode())
+	if p.id != 27 || p.mode != Out {
+		t.Fatalf("pin = %d/%v", p.id, p.mode)
 	}
 	if p.Value() {
 		t.Error("pins start low")
@@ -36,7 +36,7 @@ func TestPinIdentityAndReconfiguration(t *testing.T) {
 	if p1 != p2 {
 		t.Error("same id must return the same pin")
 	}
-	if p1.Mode() != In {
+	if p1.mode != In {
 		t.Error("re-acquiring reconfigures the mode")
 	}
 }

@@ -115,17 +115,6 @@ func NewInstance(c *model.Class, opts ...Option) *Instance {
 	return &Instance{class: c, chooser: o.chooser, angelic: o.angelic, fresh: true}
 }
 
-// Class returns the instance's class.
-func (i *Instance) Class() *model.Class { return i.class }
-
-// Reset returns the instance to the fresh state, clearing the trace.
-func (i *Instance) Reset() {
-	i.fresh = true
-	i.lastOp = nil
-	i.allowed = nil
-	i.trace = nil
-}
-
 // Allowed returns the operation names callable right now.
 func (i *Instance) Allowed() []string {
 	if i.fresh {
@@ -142,9 +131,6 @@ func (i *Instance) CanStop() bool {
 	}
 	return i.lastOp.Final
 }
-
-// Trace returns the calls made so far.
-func (i *Instance) Trace() []string { return append([]string(nil), i.trace...) }
 
 // Call invokes an operation. It returns the return list of the chosen
 // exit (the operations the caller must choose from next), mirroring the

@@ -422,3 +422,14 @@ func (s *scriptedChoice) Choose(n int) int {
 	s.pos++
 	return v
 }
+
+// Reset returns the instance to the fresh state, clearing the trace.
+func (i *Instance) Reset() {
+	i.fresh = true
+	i.lastOp = nil
+	i.allowed = nil
+	i.trace = nil
+}
+
+// Trace returns the calls made so far.
+func (i *Instance) Trace() []string { return append([]string(nil), i.trace...) }

@@ -45,9 +45,6 @@ func NewSystem(c *model.Class, classes map[string]*model.Class, opts ...Option) 
 	return s, nil
 }
 
-// Subsystem returns the live instance behind the given field name.
-func (s *System) Subsystem(name string) *Instance { return s.subs[name] }
-
 // Trace returns the flattened subsystem trace so far (qualified names,
 // e.g. "a.test").
 func (s *System) Trace() []string { return append([]string(nil), s.trace...) }

@@ -268,16 +268,10 @@ func canonicalBounded(f Formula, maxClauses int) (string, bool) {
 	return strings.Join(keys, " | "), true
 }
 
-// dnf flattens the formula into a set of clauses; each clause maps
-// literal keys to literal formulas. An empty clause list means false; a
-// single empty clause means true.
-func dnf(f Formula) []map[string]Formula {
-	clauses, _ := dnfBounded(f, 0)
-	return clauses
-}
-
-// dnfBounded is dnf with a clause cap (0 = unlimited): it bails out
-// with ok=false as soon as any intermediate clause set grows past
+// dnfBounded flattens the formula into a set of clauses; each clause
+// maps literal keys to literal formulas. An empty clause list means
+// false; a single empty clause means true. With maxClauses > 0 it bails
+// out with ok=false as soon as any intermediate clause set grows past
 // maxClauses, BEFORE subsumption pruning, so the exponential
 // cross-product of a wide And-of-Ors is cut off at the cap rather than
 // materialized and then pruned.

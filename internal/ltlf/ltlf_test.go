@@ -365,11 +365,11 @@ func TestCompilePaperClaim(t *testing.T) {
 		t.Error("negation DFA should reject a satisfying trace")
 	}
 	// Shortest violation: a.open as the first event.
-	w, ok := d.ShortestAccepted()
-	if !ok {
+	ws, _ := d.Search(d.Start(), automata.Side{Start: -1}, func(a, _ bool) bool { return a }, 1, nil)
+	if len(ws) == 0 {
 		t.Fatal("violations exist")
 	}
-	if !reflect.DeepEqual(w, []string{"a.open"}) {
+	if w := ws[0]; !reflect.DeepEqual(w, []string{"a.open"}) {
 		t.Errorf("shortest violation = %v, want [a.open]", w)
 	}
 }
@@ -403,4 +403,10 @@ func TestEquivalentFormulasCompileEquivalent(t *testing.T) {
 			t.Errorf("%q and %q compiled to different languages", p[0], p[1])
 		}
 	}
+}
+
+// dnf is dnfBounded without a clause cap.
+func dnf(f Formula) []map[string]Formula {
+	clauses, _ := dnfBounded(f, 0)
+	return clauses
 }

@@ -166,13 +166,6 @@ func (c *Corpus) Add(device string, events []string, accepted bool) bool {
 	return true
 }
 
-// Stats returns a point-in-time summary.
-func (c *Corpus) Stats() CorpusStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.statsLocked()
-}
-
 func (c *Corpus) statsLocked() CorpusStats {
 	return CorpusStats{
 		Traces:  c.traces,
@@ -183,24 +176,6 @@ func (c *Corpus) statsLocked() CorpusStats {
 		Shed:    c.shed,
 		Version: c.version,
 	}
-}
-
-// Accepts reports whether the exact trace has been observed as a
-// complete usage.
-func (c *Corpus) Accepts(events []string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := c.root
-	for _, ev := range events {
-		id, ok := c.syms[ev]
-		if !ok {
-			return false
-		}
-		if n = n.next[id]; n == nil {
-			return false
-		}
-	}
-	return n.accept
 }
 
 // Snapshot is an immutable view of a corpus taken at one version: the

@@ -35,29 +35,29 @@ func TestCorpusAcceptsAndVersions(t *testing.T) {
 	if !c.Add("dev-0", []string{"open", "close"}, true) {
 		t.Fatal("add shed")
 	}
-	v1 := c.Stats().Version
+	v1 := c.Snapshot().Stats.Version
 	if !c.Add("dev-1", []string{"open", "close"}, true) {
 		t.Fatal("dup add shed")
 	}
-	if got := c.Stats().Version; got != v1 {
+	if got := c.Snapshot().Stats.Version; got != v1 {
 		t.Fatalf("duplicate accepted trace bumped version %d -> %d", v1, got)
 	}
 	if !c.Add("dev-0", []string{"open", "read"}, false) {
 		t.Fatal("partial add shed")
 	}
-	if got := c.Stats().Version; got != v1 {
+	if got := c.Snapshot().Stats.Version; got != v1 {
 		t.Fatalf("partial observation bumped version %d -> %d", v1, got)
 	}
-	if !c.Accepts([]string{"open", "close"}) {
+	if !c.Snapshot().PTA.Accepts([]string{"open", "close"}) {
 		t.Fatal("observed complete usage not accepted")
 	}
-	if c.Accepts([]string{"open", "read"}) {
+	if c.Snapshot().PTA.Accepts([]string{"open", "read"}) {
 		t.Fatal("partial observation accepted")
 	}
-	if c.Accepts([]string{"open"}) {
+	if c.Snapshot().PTA.Accepts([]string{"open"}) {
 		t.Fatal("prefix accepted")
 	}
-	st := c.Stats()
+	st := c.Snapshot().Stats
 	if st.Traces != 1 || st.Devices != 2 || st.Symbols != 3 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -73,13 +73,13 @@ func TestCorpusBoundsShedNeverFail(t *testing.T) {
 	if c.Add("d", []string{"b"}, true) {
 		t.Fatal("MaxTraces not enforced")
 	}
-	if c.Add("d", []string{"e", "f", "g"}, true) && c.Stats().Symbols > 4 {
+	if c.Add("d", []string{"e", "f", "g"}, true) && c.Snapshot().Stats.Symbols > 4 {
 		t.Fatal("MaxSymbols not enforced")
 	}
-	if got := c.Stats().Shed; got == 0 {
+	if got := c.Snapshot().Stats.Shed; got == 0 {
 		t.Fatal("sheds not counted")
 	}
-	if got := c.Stats().Traces; got != 2 {
+	if got := c.Snapshot().Stats.Traces; got != 2 {
 		t.Fatalf("traces %d after sheds", got)
 	}
 }

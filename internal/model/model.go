@@ -11,13 +11,11 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/shelley-go/shelley/internal/core"
 	"github.com/shelley-go/shelley/internal/depgraph"
 	"github.com/shelley-go/shelley/internal/lower"
 	"github.com/shelley-go/shelley/internal/ltlf"
 	"github.com/shelley-go/shelley/internal/pyast"
 	"github.com/shelley-go/shelley/internal/pytoken"
-	"github.com/shelley-go/shelley/internal/regex"
 )
 
 // Error is a modelling error with its source position.
@@ -52,10 +50,6 @@ type Operation struct {
 	fpOnce sync.Once
 	fp     string
 }
-
-// Behavior returns the operation's inferred behavior over subsystem
-// operations (paper §3.2), in the paper-verbatim form.
-func (op *Operation) Behavior() regex.Regex { return core.Infer(op.Method.Program) }
 
 // Claim is a temporal requirement from a @claim decorator.
 type Claim struct {

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/shelley-go/shelley/internal/core"
 	"github.com/shelley-go/shelley/internal/pyast"
 	"github.com/shelley-go/shelley/internal/pyparse"
+	"github.com/shelley-go/shelley/internal/regex"
 )
 
 func readTestdata(t *testing.T, name string) string {
@@ -308,3 +310,7 @@ func TestMissingAstClass(t *testing.T) {
 		t.Error("class without operations should be rejected")
 	}
 }
+
+// Behavior returns the operation's inferred behavior over subsystem
+// operations (paper §3.2), in the paper-verbatim form.
+func (op *Operation) Behavior() regex.Regex { return core.Infer(op.Method.Program) }

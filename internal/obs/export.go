@@ -137,14 +137,6 @@ func takeString(b []byte) (string, []byte) {
 	return string(b[sz : sz+int(n)]), b[sz+int(n):]
 }
 
-// Total returns the number of spans ever exported (buffered or
-// already evicted).
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // chromeEvent is one trace-event in the Chrome/Perfetto JSON schema
 // (ph "X" = complete event with ts+dur, ph "M" = metadata).
 type chromeEvent struct {

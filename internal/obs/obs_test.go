@@ -210,8 +210,8 @@ func TestRingWraparound(t *testing.T) {
 			t.Errorf("snapshot[%d] = %q, want %q (oldest first)", i, got[i].Name, want)
 		}
 	}
-	if r.Total() != 5 {
-		t.Errorf("total = %d, want 5", r.Total())
+	if r.total != 5 {
+		t.Errorf("total = %d, want 5", r.total)
 	}
 }
 

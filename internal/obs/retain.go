@@ -126,17 +126,3 @@ func (b *TraceBuffer) removeLocked(traceID string) {
 		}
 	}
 }
-
-// Len reports the number of live trace groups.
-func (b *TraceBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.traces)
-}
-
-// Evicted reports whole traces dropped by the FIFO bound since start.
-func (b *TraceBuffer) Evicted() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.evicted
-}

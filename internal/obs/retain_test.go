@@ -23,8 +23,8 @@ func TestTraceBufferTakeReturnsWholeTree(t *testing.T) {
 	if _, _, ok := b.Take("t1"); ok {
 		t.Error("second Take of the same trace succeeded")
 	}
-	if b.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (t2 remains)", b.Len())
+	if len(b.traces) != 1 {
+		t.Errorf("Len = %d, want 1 (t2 remains)", len(b.traces))
 	}
 }
 
@@ -51,11 +51,11 @@ func TestTraceBufferFIFOEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Export(SpanData{TraceID: fmt.Sprintf("t%d", i), SpanID: "s"})
 	}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
+	if len(b.traces) != 3 {
+		t.Fatalf("Len = %d, want 3", len(b.traces))
 	}
-	if b.Evicted() != 2 {
-		t.Errorf("Evicted = %d, want 2", b.Evicted())
+	if b.evicted != 2 {
+		t.Errorf("Evicted = %d, want 2", b.evicted)
 	}
 	if _, _, ok := b.Take("t0"); ok {
 		t.Error("evicted trace still takeable")
@@ -70,19 +70,19 @@ func TestTraceBufferDiscard(t *testing.T) {
 	b.Export(SpanData{TraceID: "t", SpanID: "s"})
 	b.Discard("t")
 	b.Discard("unknown") // no-op
-	if b.Len() != 0 {
-		t.Errorf("Len = %d after discard, want 0", b.Len())
+	if len(b.traces) != 0 {
+		t.Errorf("Len = %d after discard, want 0", len(b.traces))
 	}
 	// Discarded slots are reusable without tripping eviction.
 	for i := 0; i < 4; i++ {
 		b.Export(SpanData{TraceID: fmt.Sprintf("n%d", i), SpanID: "s"})
 	}
-	if b.Evicted() != 0 {
-		t.Errorf("Evicted = %d, want 0", b.Evicted())
+	if b.evicted != 0 {
+		t.Errorf("Evicted = %d, want 0", b.evicted)
 	}
 	b.Export(SpanData{TraceID: "", SpanID: "ignored"})
-	if b.Len() != 4 {
-		t.Errorf("empty trace ID should be ignored; Len = %d", b.Len())
+	if len(b.traces) != 4 {
+		t.Errorf("empty trace ID should be ignored; Len = %d", len(b.traces))
 	}
 }
 

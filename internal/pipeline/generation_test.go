@@ -213,3 +213,9 @@ func TestStaleFailedBuildDeletesOnlyItsOwnEntry(t *testing.T) {
 		})
 	}
 }
+
+// Do is DoCtx without a context.
+func (c *Cache) Do(stage Stage, key string, build func() (any, error)) (any, error) {
+	return c.DoCtx(context.Background(), stage, key,
+		func(context.Context) (any, error) { return build() })
+}

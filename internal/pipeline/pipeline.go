@@ -285,28 +285,22 @@ func uncacheable(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// Do returns the cached value for (stage, key), building it with build
-// on first use. Concurrent callers of the same key share one build:
-// exactly one goroutine runs build while the others wait, so the cost
-// of every artifact is paid once regardless of worker count. Build
+// DoCtx returns the cached value for (stage, key), building it with
+// build on first use. Concurrent callers of the same key share one
+// build: exactly one goroutine runs build while the others wait, so the
+// cost of every artifact is paid once regardless of worker count. Build
 // errors are cached too — the pipeline is deterministic, so an error is
 // as content-addressed as a value — except cancellation and panic
 // containment errors (see uncacheable), which are released to waiters
 // but never memoized. A nil receiver bypasses the cache.
-func (c *Cache) Do(stage Stage, key string, build func() (any, error)) (any, error) {
-	return c.DoCtx(context.Background(), stage, key,
-		func(context.Context) (any, error) { return build() })
-}
-
-// DoCtx is Do with tracing threaded through: a miss runs build inside
-// a "pipeline.<stage>" span (child of ctx's active span, so stage
-// timings nest under the class verification that triggered them), and
-// a hit increments a cache.hit.<stage> counter on the active span
-// instead of opening a child — warm lookups cost nanoseconds and a
-// span each would drown the timeline without adding information. The
-// build callback receives the span-carrying context so nested stages
-// parent correctly. With tracing off (no tracer in ctx) the path is
-// identical to Do.
+//
+// A miss runs build inside a "pipeline.<stage>" span (child of ctx's
+// active span, so stage timings nest under the class verification that
+// triggered them), and a hit increments a cache.hit.<stage> counter on
+// the active span instead of opening a child — warm lookups cost
+// nanoseconds and a span each would drown the timeline without adding
+// information. The build callback receives the span-carrying context so
+// nested stages parent correctly.
 func (c *Cache) DoCtx(ctx context.Context, stage Stage, key string, build func(context.Context) (any, error)) (any, error) {
 	if c == nil {
 		ctx, span := obs.Start(ctx, spanNames[stage], obs.Bool("uncached", true))
@@ -439,7 +433,7 @@ func (c *Cache) Peek(ctx context.Context, stage Stage, key string) (any, error, 
 	return v, err, ok
 }
 
-// Memo is the typed form of Do. A nil cache builds directly (still
+// Memo is MemoCtx without a context. A nil cache builds directly (still
 // inside a span when ctx traces — tracing works with caching off).
 func Memo[T any](c *Cache, stage Stage, key string, build func() (T, error)) (T, error) {
 	return MemoCtx(context.Background(), c, stage, key,

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -106,6 +108,26 @@ func (a *admission) backoffLocked(base int) int {
 		load = 2 * a.total / a.maxTotal // 0..2 as the window fills
 	}
 	return base + load + a.rnd.Intn(2*base+1)
+}
+
+// refuseAdmission answers a charge of unit ("batch" or "ingest") that
+// admit refused with status: 429 when the client's share is spent and
+// 503 when the global window is, both with a jittered Retry-After, or a
+// terminal 413 without one for a charge no window can ever hold. Only
+// an ingest frame can be that large: a batch charges at most
+// maxBatchItems and a job at most maxClientItems.
+func (s *Server) refuseAdmission(w http.ResponseWriter, unit string, charge, status, retryAfter int) int {
+	msg := "per-client " + unit + " share exhausted; retry after backoff"
+	switch status {
+	case http.StatusServiceUnavailable:
+		msg = unit + " window saturated; retry after backoff"
+	case http.StatusRequestEntityTooLarge:
+		msg = fmt.Sprintf("%s charge of %d exceeds the admission window and can never be admitted; split it", unit, charge)
+	}
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	return s.writeError(w, status, msg)
 }
 
 // clientKey identifies the requester for admission accounting.

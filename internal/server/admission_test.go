@@ -58,19 +58,16 @@ func TestAdmitNeverAdmissibleIsTerminal(t *testing.T) {
 }
 
 // TestNeverAdmissibleBatchDoesNotRetry drives the whole trail a
-// compliant retrying client follows: a batch bigger than the global
-// admission window (but inside the synchronous item limit) used to get
-// a retryable 503 whose Retry-After could never succeed; it must now
-// get a terminal 413 that client.WithRetry does not loop on — exactly
-// one attempt reaches the daemon.
+// compliant retrying client follows with a batch that can never be
+// admitted, one item past maxBatchItems: it gets a terminal 413 that
+// client.WithRetry does not loop on — exactly one attempt reaches the
+// daemon, and it never reaches admission.
 func TestNeverAdmissibleBatchDoesNotRetry(t *testing.T) {
-	srv, cl := startServer(t, Config{
-		Workers: 2, MaxBatchItems: 64, MaxClientItems: 32, MaxBatchInflight: 8,
-	})
+	srv, cl := startServer(t, Config{Workers: 2})
 	bcl := client.New("http://"+srv.Addr(),
 		client.WithRetry(client.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}))
 
-	items := make([]client.BatchItem, 16) // > MaxBatchInflight, < MaxBatchItems
+	items := make([]client.BatchItem, maxBatchItems+1)
 	for i := range items {
 		items[i] = client.BatchItem{Fingerprint: "sha256:deadbeef"}
 	}
@@ -86,13 +83,12 @@ func TestNeverAdmissibleBatchDoesNotRetry(t *testing.T) {
 		t.Fatal("413 must not be Temporary — WithRetry would loop on it")
 	}
 
-	// The retrying client made exactly one attempt: one admission
-	// rejection, not MaxAttempts of them.
-	v, ok, err := cl.MetricValue(context.Background(), "shelleyd_batch_admission_rejected_total")
+	// The retrying client made exactly one attempt.
+	v, ok, err := cl.MetricValue(context.Background(), `shelleyd_requests_total{endpoint="check-batch",code="413"}`)
 	if err != nil || !ok {
-		t.Fatalf("reading rejection counter: ok=%v err=%v", ok, err)
+		t.Fatalf("reading request counter: ok=%v err=%v", ok, err)
 	}
 	if v != 1 {
-		t.Fatalf("admission rejections = %v, want exactly 1 (the client looped)", v)
+		t.Fatalf("413 answers = %v, want exactly 1 (the client looped)", v)
 	}
 }

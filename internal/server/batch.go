@@ -29,32 +29,20 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) int {
 		return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
 	}
 	var req client.BatchRequest
-	if err := decodeBody(w, r, s.cfg.MaxBatchBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxBatchBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
 	if len(req.Items) == 0 {
 		return s.writeError(w, http.StatusBadRequest, "batch needs at least one item")
 	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
+	if len(req.Items) > maxBatchItems {
 		return s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf(
 			"batch of %d exceeds the synchronous window of %d; submit it as an async job via POST /v1/jobs",
-			len(req.Items), s.cfg.MaxBatchItems))
+			len(req.Items), maxBatchItems))
 	}
 	release, status, retryAfter := s.adm.admit(clientKey(r), len(req.Items))
 	if status != 0 {
-		msg := "per-client batch share exhausted; retry after backoff"
-		switch status {
-		case http.StatusServiceUnavailable:
-			msg = "batch window saturated; retry after backoff"
-		case http.StatusRequestEntityTooLarge:
-			// Never admissible at any load: no Retry-After — retrying
-			// cannot succeed. Oversized batches belong in /v1/jobs.
-			msg = fmt.Sprintf("batch of %d items exceeds the admission window and can never be admitted; submit it as an async job via POST /v1/jobs", len(req.Items))
-		}
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		}
-		return s.writeError(w, status, msg)
+		return s.refuseAdmission(w, "batch", len(req.Items), status, retryAfter)
 	}
 	defer release()
 	if !s.addSubmitter() {
@@ -207,7 +195,7 @@ func (s *Server) runBatch(ctx context.Context, items []client.BatchItem, emit fu
 		}
 		emit(rec, stall)
 	}
-	if s.cfg.BatchWindow <= 1 {
+	if s.cfg.Workers <= 1 {
 		// Strictly sequential: records are emitted in item order, which
 		// is what pins the wire format byte-for-byte in the golden
 		// tests and keeps single-worker daemons fair. A record is a
@@ -223,20 +211,26 @@ func (s *Server) runBatch(ctx context.Context, items []client.BatchItem, emit fu
 	} else {
 		// Full buffering means producers never block handing over a
 		// record, and len(recs) is an honest "more already waiting"
-		// signal for the flush hint.
+		// signal for the flush hint. One launcher starts each item's
+		// goroutine only once it holds one of the Workers slots, so a
+		// batch parks at most Workers goroutines however many items it
+		// has.
 		recs := make(chan client.BatchRecord, len(items))
-		sem := make(chan struct{}, s.cfg.BatchWindow)
-		var wg sync.WaitGroup
-		for i, it := range items {
-			wg.Add(1)
-			go func(i int, it client.BatchItem) {
-				defer wg.Done()
+		go func() {
+			sem := make(chan struct{}, s.cfg.Workers)
+			var wg sync.WaitGroup
+			for i, it := range items {
 				sem <- struct{}{}
-				defer func() { <-sem }()
-				recs <- s.batchItem(ctx, i, it)
-			}(i, it)
-		}
-		go func() { wg.Wait(); close(recs) }()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					recs <- s.batchItem(ctx, i, it)
+					<-sem
+				}()
+			}
+			wg.Wait()
+			close(recs)
+		}()
 		for rec := range recs {
 			record(rec, len(recs) == 0)
 		}
@@ -280,7 +274,7 @@ func (s *Server) batchItem(ctx context.Context, idx int, it client.BatchItem) cl
 	case it.Source == "" && it.Fingerprint == "":
 		rec.Status, rec.Error = http.StatusBadRequest, "item needs source or fingerprint"
 		return rec
-	case int64(len(it.Source)) > s.cfg.MaxSourceBytes:
+	case len(it.Source) > maxSourceBytes:
 		rec.Status, rec.Error = http.StatusRequestEntityTooLarge, "item source exceeds the per-source byte limit"
 		return rec
 	}

@@ -41,7 +41,6 @@ func FuzzBatchRequest(f *testing.F) {
 
 	srv := New(Config{
 		Workers: 2, QueueDepth: 8,
-		MaxBatchItems: 8, MaxJobItems: 8, MaxJobs: 4,
 		RequestTimeout: 500 * time.Millisecond,
 		Limits:         tightLimits(),
 	})

@@ -17,7 +17,7 @@ import (
 // Golden NDJSON wire-format tests: one file per scenario pinning the
 // exact bytes a /v1/check-batch stream puts on the wire — record
 // field order, status codes, error texts, terminal summary. Servers are
-// configured Workers:1 BatchWindow:1, which makes record order strictly
+// configured Workers:1, which makes record order strictly
 // the request's item order. Regenerate with:
 //
 //	go test ./internal/server -run TestBatchGolden -update
@@ -71,7 +71,7 @@ func runGoldenBatch(t *testing.T, srv *Server, items []client.BatchItem) []byte 
 // fingerprint hit of the now-resident module, and the per-item request
 // errors, closed by the summary.
 func TestBatchGoldenMixed(t *testing.T) {
-	srv := New(Config{Workers: 1, BatchWindow: 1})
+	srv := New(Config{Workers: 1})
 	defer srv.Shutdown(context.Background())
 	valve := readTestdata(t, "valve.py")
 	got := runGoldenBatch(t, srv, []client.BatchItem{
@@ -88,7 +88,7 @@ func TestBatchGoldenMixed(t *testing.T) {
 // pathological item's 422 record sits between two clean records and
 // the batch completes.
 func TestBatchGoldenBudget(t *testing.T) {
-	srv := New(Config{Workers: 1, BatchWindow: 1, Limits: tightLimits()})
+	srv := New(Config{Workers: 1, Limits: tightLimits()})
 	defer srv.Shutdown(context.Background())
 	valve := readTestdata(t, "valve.py")
 	got := runGoldenBatch(t, srv, []client.BatchItem{
@@ -122,7 +122,7 @@ func (w *cancelingRecorder) Write(b []byte) (int, error) {
 // record, 499 records for the overtaken items, and a terminal record
 // carrying the cancellation.
 func TestBatchGoldenCanceled(t *testing.T) {
-	srv := New(Config{Workers: 1, BatchWindow: 1})
+	srv := New(Config{Workers: 1})
 	defer srv.Shutdown(context.Background())
 	valve := readTestdata(t, "valve.py")
 	body, err := json.Marshal(client.BatchRequest{Items: []client.BatchItem{

@@ -65,7 +65,7 @@ func TestBatchStreamsIncrementally(t *testing.T) {
 	release := make(chan struct{})
 	var jobs atomic.Int64
 	srv, _ := startServer(t, Config{
-		Workers: 1, BatchWindow: 1,
+		Workers: 1,
 		jobHook: func() {
 			if jobs.Add(1) == 2 {
 				<-release
@@ -109,12 +109,14 @@ func TestBatchStreamsIncrementally(t *testing.T) {
 // TestBatchRecordErrorsDontFailBatch pins the per-item error surface:
 // invalid items produce non-200 records with the same status codes the
 // single-shot endpoints answer, the stream keeps flowing, and the
-// terminal record tallies them.
+// terminal record tallies them. An item's source is accepted at
+// maxSourceBytes and refused with 413 one byte past it.
 func TestBatchRecordErrorsDontFailBatch(t *testing.T) {
-	srv, cl := startServer(t, Config{Workers: 2, MaxSourceBytes: 2048})
+	srv, cl := startServer(t, Config{Workers: 2})
 	bcl := client.New("http://" + srv.Addr())
 	good := syntheticSource(1, "RecOK")
-	oversize := good + "\n# " + strings.Repeat("pad ", 1024)
+	atLimit := good + "\n#" + strings.Repeat("p", maxSourceBytes-len(good)-2)
+	oversize := atLimit + "p"
 
 	stream, err := bcl.CheckBatch(context.Background(), client.BatchRequest{Items: []client.BatchItem{
 		{Source: good},
@@ -123,6 +125,7 @@ func TestBatchRecordErrorsDontFailBatch(t *testing.T) {
 		{Source: good, Fingerprint: "sha256:wrong"},
 		{Source: good, Class: "NoSuchClass"},
 		{Source: oversize},
+		{Source: atLimit},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +134,7 @@ func TestBatchRecordErrorsDontFailBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]int{0: 200, 1: 400, 2: 404, 3: 400, 4: 404, 5: 413}
+	want := map[int]int{0: 200, 1: 400, 2: 404, 3: 400, 4: 404, 5: 413, 6: 200}
 	if len(records) != len(want) {
 		t.Fatalf("got %d records, want %d", len(records), len(want))
 	}
@@ -144,7 +147,7 @@ func TestBatchRecordErrorsDontFailBatch(t *testing.T) {
 		}
 	}
 	sum := stream.Summary()
-	if sum.Total != 6 || sum.Succeeded != 1 || sum.Failed != 5 {
+	if sum.Total != 7 || sum.Succeeded != 2 || sum.Failed != 5 {
 		t.Fatalf("summary = %+v", sum)
 	}
 	waitMetric(t, cl, "shelleyd_batch_item_errors_total", 5)
@@ -154,7 +157,7 @@ func TestBatchRecordErrorsDontFailBatch(t *testing.T) {
 // pathological item under a tight budget yields a 422 record while its
 // neighbors verify normally.
 func TestBatchBudgetRecordIs422(t *testing.T) {
-	srv, cl := startServer(t, Config{Workers: 2, BatchWindow: 1, Limits: tightLimits()})
+	srv, cl := startServer(t, Config{Workers: 1, Limits: tightLimits()})
 	bcl := client.New("http://" + srv.Addr())
 	good := syntheticSource(1, "Bud")
 	detblow := readTestdata(t, "pathological/detblow.py")
@@ -186,9 +189,10 @@ func TestBatchBudgetRecordIs422(t *testing.T) {
 }
 
 // TestBatchRequestValidation pins the whole-batch refusals that happen
-// before any record is streamed.
+// before any record is streamed: a batch of maxBatchItems streams, one
+// more item answers 413.
 func TestBatchRequestValidation(t *testing.T) {
-	srv, _ := startServer(t, Config{Workers: 1, MaxBatchItems: 2})
+	srv, _ := startServer(t, Config{Workers: 1})
 	bcl := client.New("http://" + srv.Addr())
 	ctx := context.Background()
 
@@ -197,7 +201,16 @@ func TestBatchRequestValidation(t *testing.T) {
 		t.Fatalf("empty batch: %v, want 400", err)
 	}
 
-	big := client.BatchRequest{Items: make([]client.BatchItem, 3)}
+	full := client.BatchRequest{Items: make([]client.BatchItem, maxBatchItems)}
+	stream, err := bcl.CheckBatch(ctx, full)
+	if err != nil {
+		t.Fatalf("batch of maxBatchItems: %v", err)
+	}
+	if recs, err := stream.Collect(); err != nil || len(recs) != maxBatchItems {
+		t.Fatalf("batch of maxBatchItems: %d records, %v", len(recs), err)
+	}
+
+	big := client.BatchRequest{Items: make([]client.BatchItem, maxBatchItems+1)}
 	_, err = bcl.CheckBatch(ctx, big)
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != 413 {
@@ -322,16 +335,16 @@ func TestBatchMatchesSequentialCheckRace(t *testing.T) {
 	waitGauge(t, cl, "shelleyd_batch_inflight_items", 0) // admission fully released
 }
 
-// TestBatchAdmissionPreventsStarvation is the hostile load test: a
-// noisy client saturating its own share draws 429s with a backoff hint
-// while a polite client's batch is admitted and completes untouched,
-// and a batch overflowing the global window draws 503.
+// TestBatchAdmissionPreventsStarvation is the hostile load test at the
+// production windows: a noisy client holding two full batches has spent
+// its share of maxClientItems and draws 429s with a backoff hint, while
+// polite clients' batches are admitted and complete untouched, and once
+// maxBatchInflight items are in flight the next batch draws 503.
 func TestBatchAdmissionPreventsStarvation(t *testing.T) {
 	var hold atomic.Bool
 	release := make(chan struct{})
 	srv, cl := startServer(t, Config{
-		Workers: 2, MaxBatchItems: 8, MaxClientItems: 8, MaxBatchInflight: 16,
-		RequestTimeout: 60 * time.Second,
+		Workers: 2, RequestTimeout: 60 * time.Second,
 		jobHook: func() {
 			if hold.Load() {
 				<-release
@@ -340,14 +353,14 @@ func TestBatchAdmissionPreventsStarvation(t *testing.T) {
 	})
 	addr := "http://" + srv.Addr()
 	hostile := client.New(addr, client.WithToken("hostile"))
-	polite := client.New(addr, client.WithToken("polite"))
-	other := client.New(addr, client.WithToken("other"))
 	ctx := context.Background()
 
+	// Every item of a batch is the same source, so its items coalesce
+	// on one cell whose pooled job the hook holds.
 	batch := func(tag string) client.BatchRequest {
-		items := make([]client.BatchItem, 8)
+		items := make([]client.BatchItem, maxBatchItems)
 		for i := range items {
-			items[i] = client.BatchItem{Source: syntheticSource(1, fmt.Sprintf("%s%d", tag, i))}
+			items[i] = client.BatchItem{Source: syntheticSource(1, tag)}
 		}
 		return client.BatchRequest{Items: items}
 	}
@@ -357,24 +370,25 @@ func TestBatchAdmissionPreventsStarvation(t *testing.T) {
 		sum *client.BatchRecord
 		err error
 	}
-	run := func(c *client.Client, req client.BatchRequest, out chan<- result) {
+	done := make(chan result, 4)
+	run := func(c *client.Client, req client.BatchRequest) {
 		stream, err := c.CheckBatch(ctx, req)
 		if err != nil {
-			out <- result{nil, err}
+			done <- result{nil, err}
 			return
 		}
 		if _, err := stream.Collect(); err != nil {
-			out <- result{nil, err}
+			done <- result{nil, err}
 			return
 		}
-		out <- result{stream.Summary(), nil}
+		done <- result{stream.Summary(), nil}
 	}
-	hostileDone := make(chan result, 1)
-	go run(hostile, batch("Hog"), hostileDone)
-	waitMetric(t, cl, "shelleyd_batch_inflight_items", 8)
+	go run(hostile, batch("Hog"))
+	go run(hostile, batch("Hog"))
+	waitMetric(t, cl, "shelleyd_batch_inflight_items", maxClientItems)
 
-	// The hostile client's share (8) is spent: one more item refuses
-	// with 429 and a jittered backoff hint.
+	// The hostile client's share is spent: one more item refuses with
+	// 429 and a jittered backoff hint.
 	_, err := hostile.CheckBatch(ctx, client.BatchRequest{Items: []client.BatchItem{{Fingerprint: "sha256:x"}}})
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusTooManyRequests {
@@ -387,30 +401,31 @@ func TestBatchAdmissionPreventsStarvation(t *testing.T) {
 		t.Fatal("429 should be Temporary")
 	}
 
-	// The polite client is unaffected by the noisy neighbor: its batch
-	// is admitted into the remaining global window.
-	politeDone := make(chan result, 1)
-	go run(polite, batch("Nice"), politeDone)
-	waitMetric(t, cl, "shelleyd_batch_inflight_items", 16)
+	// Polite clients are unaffected by the noisy neighbor: their
+	// batches are admitted into the rest of the global window.
+	go run(client.New(addr, client.WithToken("polite")), batch("Nice"))
+	go run(client.New(addr, client.WithToken("other")), batch("Other"))
+	waitMetric(t, cl, "shelleyd_batch_inflight_items", maxBatchInflight)
 
-	// The global window (16) is now full: a third client refuses with
-	// 503 — the daemon, not the client, is the bottleneck.
-	_, err = other.CheckBatch(ctx, client.BatchRequest{Items: []client.BatchItem{{Fingerprint: "sha256:x"}}})
+	// The global window is now full: a fresh client refuses with 503 —
+	// the daemon, not the client, is the bottleneck.
+	_, err = client.New(addr, client.WithToken("late")).CheckBatch(ctx, client.BatchRequest{Items: []client.BatchItem{{Fingerprint: "sha256:x"}}})
 	if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.RetryAfter < time.Second {
 		t.Fatalf("global overflow: %v, want 503 with Retry-After >= 1s", err)
 	}
 
 	close(release)
-	for _, ch := range []chan result{hostileDone, politeDone} {
-		res := <-ch
+	for i := 0; i < 4; i++ {
+		res := <-done
 		if res.err != nil {
 			t.Fatal(res.err)
 		}
-		if res.sum.Total != 8 || res.sum.Succeeded != 8 {
+		if res.sum.Total != maxBatchItems || res.sum.Succeeded != maxBatchItems {
 			t.Fatalf("admitted batch did not complete cleanly: %+v", res.sum)
 		}
 	}
 	waitMetric(t, cl, "shelleyd_batch_admission_rejected_total", 2)
+	waitGauge(t, cl, "shelleyd_batch_inflight_items", 0)
 }
 
 // TestJobSubmitPollAndStream exercises the async mode end to end: a
@@ -418,10 +433,11 @@ func TestBatchAdmissionPreventsStarvation(t *testing.T) {
 // job instead, observable mid-run by poll and by live stream, and
 // complete with the full record log.
 func TestJobSubmitPollAndStream(t *testing.T) {
+	const n = maxBatchItems + 1
 	var hold atomic.Bool
 	release := make(chan struct{})
 	srv, cl := startServer(t, Config{
-		Workers: 2, MaxBatchItems: 4,
+		Workers: 2,
 		jobHook: func() {
 			if hold.Load() {
 				<-release
@@ -431,15 +447,15 @@ func TestJobSubmitPollAndStream(t *testing.T) {
 	bcl := client.New("http://" + srv.Addr())
 	ctx := context.Background()
 
-	items := make([]client.BatchItem, 8)
+	items := make([]client.BatchItem, n)
 	for i := range items {
-		items[i] = client.BatchItem{ID: fmt.Sprint(i), Source: syntheticSource(1, fmt.Sprintf("Job%d", i))}
+		items[i] = client.BatchItem{ID: fmt.Sprint(i), Source: syntheticSource(1, fmt.Sprintf("Job%d", i%8))}
 	}
 	req := client.BatchRequest{Items: items}
 
 	// Past the sync window: /v1/check-batch refuses and points here.
 	if _, err := bcl.CheckBatch(ctx, req); err == nil {
-		t.Fatal("8-item batch should exceed the 4-item sync window")
+		t.Fatalf("%d-item batch should exceed the %d-item sync window", n, maxBatchItems)
 	}
 
 	hold.Store(true)
@@ -447,7 +463,7 @@ func TestJobSubmitPollAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(acc.Job, "job-") || acc.Total != 8 {
+	if !strings.HasPrefix(acc.Job, "job-") || acc.Total != n {
 		t.Fatalf("accepted = %+v", acc)
 	}
 
@@ -463,7 +479,7 @@ func TestJobSubmitPollAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != "running" || st.Total != 8 {
+	if st.State != "running" || st.Total != n {
 		t.Fatalf("mid-run status = %+v", st)
 	}
 
@@ -472,10 +488,10 @@ func TestJobSubmitPollAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 8 {
-		t.Fatalf("streamed %d records, want 8", len(records))
+	if len(records) != n {
+		t.Fatalf("streamed %d records, want %d", len(records), n)
 	}
-	if sum := stream.Summary(); !sum.Done || sum.Succeeded != 8 {
+	if sum := stream.Summary(); !sum.Done || sum.Succeeded != n {
 		t.Fatalf("stream summary = %+v", sum)
 	}
 
@@ -485,7 +501,7 @@ func TestJobSubmitPollAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != "done" || st.Completed != 8 || st.Failed != 0 || len(st.Records) != 8 {
+	if st.State != "done" || st.Completed != n || st.Failed != 0 || len(st.Records) != n {
 		t.Fatalf("final status = %+v", st)
 	}
 	replay, err := bcl.JobStream(ctx, acc.Job)
@@ -493,7 +509,7 @@ func TestJobSubmitPollAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed, err := replay.Collect()
-	if err != nil || len(replayed) != 8 {
+	if err != nil || len(replayed) != n {
 		t.Fatalf("replay: %d records, %v", len(replayed), err)
 	}
 
@@ -501,7 +517,7 @@ func TestJobSubmitPollAndStream(t *testing.T) {
 		t.Fatal("unknown job should 404")
 	}
 	waitMetric(t, cl, "shelleyd_jobs_total", 1)
-	waitMetric(t, cl, "shelleyd_batch_items_total", 8)
+	waitMetric(t, cl, "shelleyd_batch_items_total", n)
 }
 
 // TestBatchClientCancelReleasesGoroutines: a client abandoning its
@@ -512,7 +528,7 @@ func TestBatchClientCancelReleasesGoroutines(t *testing.T) {
 	var hold atomic.Bool
 	release := make(chan struct{})
 	srv, cl := startServer(t, Config{
-		Workers: 1, BatchWindow: 1, RequestTimeout: 60 * time.Second,
+		Workers: 1, RequestTimeout: 60 * time.Second,
 		jobHook: func() {
 			if hold.Load() {
 				<-release
@@ -566,23 +582,27 @@ func TestBatchClientCancelReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// TestJobLargerThanClientShareAdmits: a job bigger than the per-client
-// item share must still be admitted and run to completion — its
-// admission charge is its peak pool occupancy (min of item count and
-// BatchWindow), not its full item count. The /v1/check-batch 413 path
-// sends exactly such batches to /v1/jobs, so refusing them with a
+// TestJobLargerThanClientShareAdmits: a job of maxJobItems, far past
+// the per-client item share, must still be admitted and run to
+// completion — its admission charge is its peak pool occupancy (at
+// most Workers items), not its full item count. The /v1/check-batch 413
+// path sends exactly such batches to /v1/jobs, so refusing them with a
 // retryable 429 whose Retry-After could never succeed would be a trap.
+// One item more answers 413.
 func TestJobLargerThanClientShareAdmits(t *testing.T) {
-	// MaxBatchItems 4 → MaxClientItems 8, MaxBatchInflight 16; a
-	// 32-item job exceeds both while staying far under MaxJobItems.
-	srv, cl := startServer(t, Config{Workers: 2, MaxBatchItems: 4})
+	srv, cl := startServer(t, Config{Workers: 2})
 	bcl := client.New("http://" + srv.Addr())
 	ctx := context.Background()
 
-	items := make([]client.BatchItem, 32)
+	items := make([]client.BatchItem, maxJobItems+1)
 	for i := range items {
-		items[i] = client.BatchItem{ID: fmt.Sprint(i), Source: syntheticSource(1, fmt.Sprintf("BigJob%d", i))}
+		items[i] = client.BatchItem{ID: fmt.Sprint(i), Source: syntheticSource(1, fmt.Sprintf("BigJob%d", i%32))}
 	}
+	_, err := bcl.SubmitJob(ctx, client.BatchRequest{Items: items})
+	if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("job of maxJobItems+1: %v, want 413", err)
+	}
+	items = items[:maxJobItems]
 	acc, err := bcl.SubmitJob(ctx, client.BatchRequest{Items: items})
 	if err != nil {
 		t.Fatalf("job larger than the client share was refused: %v", err)
@@ -596,14 +616,114 @@ func TestJobLargerThanClientShareAdmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 32 {
-		t.Fatalf("streamed %d records, want 32", len(records))
+	if len(records) != maxJobItems {
+		t.Fatalf("streamed %d records, want %d", len(records), maxJobItems)
 	}
-	if sum := stream.Summary(); !sum.Done || sum.Succeeded != 32 || sum.Failed != 0 {
+	if sum := stream.Summary(); !sum.Done || sum.Succeeded != maxJobItems || sum.Failed != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
 	// The runner's deferred release ran: the admission charge drains.
 	waitGauge(t, cl, "shelleyd_batch_inflight_items", 0)
+}
+
+// TestJobStoreHoldsMaxJobs: maxJobs running jobs are retained, the next
+// submission answers 503 with a Retry-After while none has finished,
+// and once they finish a new job evicts the oldest completed one.
+func TestJobStoreHoldsMaxJobs(t *testing.T) {
+	var hold atomic.Bool
+	release := make(chan struct{})
+	srv, _ := startServer(t, Config{
+		Workers: 1,
+		jobHook: func() {
+			if hold.Load() {
+				<-release
+			}
+		},
+	})
+	bcl := client.New("http://" + srv.Addr())
+	ctx := context.Background()
+	job := client.BatchRequest{Items: []client.BatchItem{{Source: syntheticSource(1, "Held")}}}
+
+	hold.Store(true)
+	ids := make([]string, maxJobs)
+	for i := range ids {
+		acc, err := bcl.SubmitJob(ctx, job)
+		if err != nil {
+			t.Fatalf("job %d of maxJobs: %v", i+1, err)
+		}
+		ids[i] = acc.Job
+	}
+	_, err := bcl.SubmitJob(ctx, job)
+	if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.RetryAfter <= 0 {
+		t.Fatalf("job past maxJobs, all running: %v, want 503 with Retry-After", err)
+	}
+
+	hold.Store(false)
+	close(release)
+	for _, id := range ids {
+		stream, err := bcl.JobStream(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stream.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		stream.Close()
+	}
+	if _, err := bcl.SubmitJob(ctx, job); err != nil {
+		t.Fatalf("job past maxJobs, all done: %v", err)
+	}
+	if _, err := bcl.Job(ctx, ids[0], false); err == nil {
+		t.Fatal("the oldest completed job should have been evicted")
+	}
+	if _, err := bcl.Job(ctx, ids[1], false); err != nil {
+		t.Fatalf("the second job should still be retained: %v", err)
+	}
+}
+
+// TestBatchRunnerParksAtMostWorkers: a held batch occupies at most
+// Workers item goroutines (plus its launcher), not one per item.
+func TestBatchRunnerParksAtMostWorkers(t *testing.T) {
+	var hold atomic.Bool
+	release := make(chan struct{})
+	srv, cl := startServer(t, Config{
+		Workers: 2, RequestTimeout: 60 * time.Second,
+		jobHook: func() {
+			if hold.Load() {
+				<-release
+			}
+		},
+	})
+	bcl := client.New("http://" + srv.Addr())
+	time.Sleep(50 * time.Millisecond)
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+
+	hold.Store(true)
+	items := make([]client.BatchItem, maxBatchItems)
+	for i := range items {
+		items[i] = client.BatchItem{Source: syntheticSource(1, "Parked")}
+	}
+	done := make(chan error, 1)
+	go func() {
+		stream, err := bcl.CheckBatch(context.Background(), client.BatchRequest{Items: items})
+		if err == nil {
+			_, err = stream.Collect()
+		}
+		done <- err
+	}()
+	waitMetric(t, cl, "shelleyd_batch_inflight_items", maxBatchItems)
+	waitMetric(t, cl, "shelleyd_coalesced_total", 1) // the second item waits on the held first
+	// The handler, its connection, the client side and the launcher
+	// with its Workers item goroutines: a small constant, however many
+	// items the batch has.
+	if n := runtime.NumGoroutine(); n > baseline+16 {
+		t.Errorf("a held %d-item batch at Workers 2 runs %d goroutines over a baseline of %d", maxBatchItems, n-baseline, baseline)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestShutdownUnblocksBatchBackpressure: a /v1/check-batch handler
@@ -617,7 +737,7 @@ func TestShutdownUnblocksBatchBackpressure(t *testing.T) {
 	var hooked atomic.Int64
 	release := make(chan struct{})
 	srv, cl := startServer(t, Config{
-		Workers: 1, QueueDepth: 1, BatchWindow: 1, RequestTimeout: 60 * time.Second,
+		Workers: 1, QueueDepth: 1, RequestTimeout: 60 * time.Second,
 		jobHook: func() {
 			hooked.Add(1)
 			if hold.Load() {
@@ -702,7 +822,7 @@ func TestJobStreamDetachDoesNotCountAsCancel(t *testing.T) {
 	var hold atomic.Bool
 	release := make(chan struct{})
 	srv, cl := startServer(t, Config{
-		Workers: 1, MaxBatchItems: 1,
+		Workers: 1,
 		jobHook: func() {
 			if hold.Load() {
 				<-release

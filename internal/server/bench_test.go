@@ -81,7 +81,7 @@ func BenchmarkServerCheckWarm(b *testing.B) {
 // span plus GC amplification of its allocations in this closed loop;
 // the Inproc pair below isolates the handler-side cost).
 func BenchmarkServerCheckWarmTraced(b *testing.B) {
-	cl := benchServerCfg(b, Config{RequestTimeout: 60 * time.Second, Tracing: true})
+	cl := benchServerCfg(b, Config{RequestTimeout: 60 * time.Second, TraceRingSize: 4096})
 	ctx := context.Background()
 	src := syntheticSource(4, "warm")
 	if _, err := cl.Check(ctx, client.CheckRequest{Source: src}); err != nil {
@@ -136,7 +136,7 @@ func BenchmarkServerCheckWarmInproc(b *testing.B) {
 }
 
 func BenchmarkServerCheckWarmInprocTraced(b *testing.B) {
-	benchCheckWarmInproc(b, Config{RequestTimeout: 60 * time.Second, Tracing: true})
+	benchCheckWarmInproc(b, Config{RequestTimeout: 60 * time.Second, TraceRingSize: 4096})
 }
 
 // BenchmarkServerCheckWarmInprocTelemetry is the warm path under the
@@ -150,14 +150,13 @@ func BenchmarkServerCheckWarmInprocTelemetry(b *testing.B) {
 
 // benchWarm64 boots a daemon with 64 distinct resident modules and
 // returns a client plus their fingerprints — the shared fixture of the
-// batch-vs-singles pair recorded as EXPERIMENTS.md P4. BatchWindow is
-// pinned to the production default for a multicore daemon (window =
-// workers, here 8) rather than left to GOMAXPROCS, so the batch side
-// exercises the fan-out + burst-flush path even on a 1-CPU runner;
-// both sides of the pair share this one server config.
+// batch-vs-singles pair recorded as EXPERIMENTS.md P4. Workers is
+// pinned to 1 rather than left to GOMAXPROCS, so the batch side runs the
+// sequential item loop on any runner; both sides of the pair share this
+// one server config.
 func benchWarm64(b *testing.B) (*client.Client, []string) {
 	b.Helper()
-	cl := benchServerCfg(b, Config{RequestTimeout: 60 * time.Second, BatchWindow: benchBatchWindow})
+	cl := benchServerCfg(b, Config{RequestTimeout: 60 * time.Second, Workers: 1})
 	ctx := context.Background()
 	fps := make([]string, 64)
 	for i := range fps {
@@ -244,8 +243,3 @@ func BenchmarkServerCheckCoalesced(b *testing.B) {
 		b.Fatal("requests failed under parallel load")
 	}
 }
-
-// benchBatchWindow parameterizes the P4 fixture's fan-out width so the
-// window sweep in EXPERIMENTS.md P4 can be reproduced by editing one
-// value; see benchWarm64 for why it is pinned rather than defaulted.
-var benchBatchWindow = 1

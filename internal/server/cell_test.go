@@ -292,7 +292,7 @@ func TestPreciseChecksMatchLibrary(t *testing.T) {
 		{name: "module"},
 		{name: "class", class: "Ctl"},
 		{name: "batch item", batch: true},
-		{name: "module, 2 check workers", cfg: Config{CheckWorkers: 2, Tracing: true}},
+		{name: "module, 2 check workers", cfg: Config{CheckWorkers: 2, TraceRingSize: 4096}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, _ := startServer(t, tc.cfg)

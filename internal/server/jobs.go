@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"github.com/shelley-go/shelley/client"
@@ -155,45 +154,28 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) int {
 		return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
 	}
 	var req client.BatchRequest
-	if err := decodeBody(w, r, s.cfg.MaxBatchBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxBatchBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
 	if len(req.Items) == 0 {
 		return s.writeError(w, http.StatusBadRequest, "job needs at least one item")
 	}
-	if len(req.Items) > s.cfg.MaxJobItems {
+	if len(req.Items) > maxJobItems {
 		return s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf(
 			"job of %d exceeds the per-job limit of %d; split it",
-			len(req.Items), s.cfg.MaxJobItems))
+			len(req.Items), maxJobItems))
 	}
 	// A job's admission charge is its peak pool occupancy, not its item
-	// count: runBatch runs at most BatchWindow of a job's items
-	// concurrently, the rest waiting in the runner, so that is what the
-	// job can actually take from the pool. The cap against the client
-	// share and global window keeps the charge admissible under any
-	// configuration. Charging the full count instead would make every
-	// job between MaxClientItems and MaxJobItems items permanently
-	// refusable — a 429/503 whose Retry-After can never succeed, at the
-	// end of the /v1/check-batch 413 trail that sends oversized batches
-	// here.
-	charge := min(len(req.Items), s.cfg.BatchWindow, s.cfg.MaxClientItems, s.cfg.MaxBatchInflight)
+	// count: runBatch runs at most Workers of a job's items at once, the
+	// rest waiting in the runner, so that is what the job can take from
+	// the pool. Capped to the client share, the charge is admissible on
+	// an idle daemon whatever Workers is; charging the full count would
+	// make every job past maxClientItems permanently refusable, a
+	// 429/503 whose Retry-After can never succeed.
+	charge := min(len(req.Items), s.cfg.Workers, maxClientItems)
 	release, status, retryAfter := s.adm.admit(clientKey(r), charge)
 	if status != 0 {
-		msg := "per-client batch share exhausted; retry after backoff"
-		switch status {
-		case http.StatusServiceUnavailable:
-			msg = "batch window saturated; retry after backoff"
-		case http.StatusRequestEntityTooLarge:
-			// Unreachable under withDefaults (the charge is capped to the
-			// admission windows above), but a hand-rolled Config could
-			// shrink the windows below BatchWindow — answer terminally
-			// rather than loop a compliant retrying client.
-			msg = fmt.Sprintf("job charge of %d exceeds the admission window and can never be admitted; split the job", charge)
-		}
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		}
-		return s.writeError(w, status, msg)
+		return s.refuseAdmission(w, "batch", charge, status, retryAfter)
 	}
 	if !s.addSubmitter() {
 		release()

@@ -239,12 +239,6 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 	return ep
 }
 
-// observe records one finished request by endpoint name — the
-// convenience form for callers without a pre-resolved pointer.
-func (m *metrics) observe(endpoint string, code int, elapsed time.Duration) {
-	m.endpoint(endpoint).observe(code, elapsed)
-}
-
 // endpointsSorted snapshots the registered endpoints in name order.
 func (m *metrics) endpointsSorted() []*endpointMetrics {
 	m.epMu.RLock()

@@ -379,3 +379,9 @@ func TestGoRuntimeStatsAdvance(t *testing.T) {
 		t.Fatalf("GC counters did not advance: %+v -> %+v", before, after)
 	}
 }
+
+// observe records one finished request by endpoint name — the
+// convenience form for callers without a pre-resolved pointer.
+func (m *metrics) observe(endpoint string, code int, elapsed time.Duration) {
+	m.endpoint(endpoint).observe(code, elapsed)
+}

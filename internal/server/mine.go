@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -18,7 +16,7 @@ import (
 
 // handleIngest is POST /v1/ingest: one NDJSON frame of trace
 // observations ({class_fp, device, events, status} per line). The whole
-// frame is decoded (bounded by MaxIngestBytes, per-line caps inside),
+// frame is decoded (bounded by maxIngestBytes, per-line caps inside),
 // admitted as a unit against the ingest admission window, then appended
 // to the per-class corpora. Nothing here ever blocks on mining or on a
 // full buffer: admission refusal is a clean 429/503 with Retry-After,
@@ -34,7 +32,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	}
 	var evs []mine.Event
 	charge := 0
-	st, err := mine.DecodeFrame(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes), mine.DecodeLimits{}, func(ev mine.Event) {
+	st, err := mine.DecodeFrame(http.MaxBytesReader(w, r.Body, maxIngestBytes), mine.DecodeLimits{}, func(ev mine.Event) {
 		evs = append(evs, ev)
 		charge += max(1, len(ev.Events))
 	})
@@ -43,17 +41,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	}
 	release, status, retryAfter := s.ingestAdm.admit(clientKey(r), charge)
 	if status != 0 {
-		msg := "per-client ingest share exhausted; retry after backoff"
-		switch status {
-		case http.StatusServiceUnavailable:
-			msg = "ingest window saturated; retry after backoff"
-		case http.StatusRequestEntityTooLarge:
-			msg = fmt.Sprintf("ingest frame charge of %d events exceeds the admission window and can never be admitted; split the frame", charge)
-		}
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		}
-		return s.writeError(w, status, msg)
+		return s.refuseAdmission(w, "ingest", charge, status, retryAfter)
 	}
 	defer release()
 	resp := client.IngestResponse{Received: len(evs), Malformed: st.Malformed, Oversize: st.Oversize}

@@ -203,31 +203,32 @@ func TestDriftFlaggedWithinOneInterval(t *testing.T) {
 }
 
 // TestIngestShedsNeverBlocks pins the overload contract from both
-// directions: a frame larger than the client's whole admission share —
-// inadmissible even against an idle window, so retrying could never
-// succeed — is refused whole with a terminal 413 and no Retry-After
-// (nothing ingested, nothing blocked), and corpus overflow under a
-// tiny bound sheds observations while the request still answers 200
-// immediately.
+// directions at the production limits: a frame charging maxClientEvents
+// is admitted, one charging a single event more — larger than the
+// client's whole share, inadmissible even against an idle window, so
+// retrying could never succeed — is refused whole with a terminal 413
+// and no Retry-After (nothing ingested, nothing blocked), and corpus
+// overflow past mine's default MaxTraces sheds observations while the
+// request still answers 200 immediately.
 func TestIngestShedsNeverBlocks(t *testing.T) {
 	t.Parallel()
-	_, cl := startServer(t, Config{
-		Workers:         1,
-		Mine:            true,
-		MineInterval:    time.Hour,
-		MaxClientEvents: 8,
-		MineConfig:      mine.Config{Corpus: mine.CorpusConfig{MaxTraces: 2}},
-	})
+	_, cl := startServer(t, Config{Workers: 1, Mine: true, MineInterval: time.Hour})
 	ctx := context.Background()
 
-	// 5 observations × 3 events = charge 15 > the whole share of 8:
-	// never admissible, whole-frame terminal 413.
-	var big []client.IngestEvent
-	for i := 0; i < 5; i++ {
-		big = append(big, client.IngestEvent{ClassFP: "fp/V", Events: []string{"a", "b", "c"}})
+	// maxClientEvents in lines of 4096 events, the per-line cap.
+	long := make([]string, 4096)
+	for i := range long {
+		long[i] = "a"
+	}
+	var full []client.IngestEvent
+	for n := 0; n < maxClientEvents; n += len(long) {
+		full = append(full, client.IngestEvent{ClassFP: "fp/W", Events: long})
+	}
+	if _, err := cl.Ingest(ctx, full); err != nil {
+		t.Fatalf("frame charging maxClientEvents: %v", err)
 	}
 	start := time.Now()
-	_, err := cl.Ingest(ctx, big)
+	_, err := cl.Ingest(ctx, append(full, client.IngestEvent{ClassFP: "fp/W", Events: []string{"a"}}))
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("never-admissible frame: %v, want 413", err)
@@ -239,17 +240,64 @@ func TestIngestShedsNeverBlocks(t *testing.T) {
 		t.Fatalf("refusal took %v; ingest must shed, not block", elapsed)
 	}
 
-	// Distinct traces beyond MaxTraces=2 shed inside an admitted frame.
+	// Distinct traces beyond the corpus bound shed inside an admitted
+	// frame. Each spells its index in binary over two operations, so
+	// the corpus's symbol bound is not what sheds them.
+	const maxTraces = 4096 // mine.CorpusConfig's default MaxTraces
 	var distinct []client.IngestEvent
-	for i := 0; i < 6; i++ {
-		distinct = append(distinct, client.IngestEvent{ClassFP: "fp/V", Events: []string{fmt.Sprintf("op%d", i)}})
+	for i := 0; i < maxTraces+4; i++ {
+		var tr []string
+		for bit := 0; bit < 13; bit++ {
+			tr = append(tr, string(rune('a'+i>>bit&1)))
+		}
+		distinct = append(distinct, client.IngestEvent{ClassFP: "fp/V", Events: tr})
 	}
 	resp, err := cl.Ingest(ctx, distinct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Accepted != 2 || resp.Shed != 4 {
-		t.Fatalf("corpus bound MaxTraces=2: response %+v, want 2 accepted / 4 shed", resp)
+	if resp.Accepted != maxTraces || resp.Shed != 4 {
+		t.Fatalf("corpus bound MaxTraces=%d: response %+v, want %d accepted / 4 shed", maxTraces, resp, maxTraces)
+	}
+}
+
+// TestIngestFrameAndWindowLimits: a frame of maxIngestBytes is read,
+// one byte more answers 400; and the global ingest window takes
+// maxIngestInflight events from several clients before refusing the
+// next with 503.
+func TestIngestFrameAndWindowLimits(t *testing.T) {
+	t.Parallel()
+	srv, _ := startServer(t, Config{Workers: 1, Mine: true, MineInterval: time.Hour})
+	line := `{"class_fp":"fp/V","events":["a"]}` + "\n"
+	frame := line + strings.Repeat("\n", maxIngestBytes-len(line))
+	for _, tc := range []struct {
+		frame string
+		want  int
+	}{{frame, http.StatusOK}, {frame + "\n", http.StatusBadRequest}} {
+		resp, err := http.Post("http://"+srv.Addr()+"/v1/ingest", "application/x-ndjson", strings.NewReader(tc.frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("frame of %d bytes: %d %s, want %d", len(tc.frame), resp.StatusCode, body, tc.want)
+		}
+	}
+
+	var releases []func()
+	for c := 0; c < maxIngestInflight/maxClientEvents; c++ {
+		release, status, _ := srv.ingestAdm.admit(fmt.Sprint("client", c), maxClientEvents)
+		if status != 0 {
+			t.Fatalf("client %d's full share refused with %d", c, status)
+		}
+		releases = append(releases, release)
+	}
+	if _, status, retryAfter := srv.ingestAdm.admit("late", 1); status != http.StatusServiceUnavailable || retryAfter < 1 {
+		t.Fatalf("event past maxIngestInflight: status %d, Retry-After %d; want 503 with a hint", status, retryAfter)
+	}
+	for _, release := range releases {
+		release()
 	}
 }
 

@@ -49,7 +49,7 @@ func TestTraceHeaderEchoedWithTracingOff(t *testing.T) {
 }
 
 func TestTraceHeaderEchoAndValidation(t *testing.T) {
-	srv, _ := startServer(t, Config{Workers: 1, Tracing: true})
+	srv, _ := startServer(t, Config{Workers: 1, TraceRingSize: 4096})
 	source := readTestdata(t, "valve.py")
 	do := func(sent string) string {
 		t.Helper()
@@ -83,7 +83,7 @@ func TestTraceHeaderEchoAndValidation(t *testing.T) {
 }
 
 func TestTraceExportEndpoint(t *testing.T) {
-	srv, cl := startServer(t, Config{Workers: 1, Tracing: true, TraceRingSize: 128})
+	srv, cl := startServer(t, Config{Workers: 1, TraceRingSize: 128})
 	ctx := context.Background()
 	if _, err := cl.Check(ctx, client.CheckRequest{Source: readTestdata(t, "valve.py")}); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestTraceExportDisabledWithoutTracing(t *testing.T) {
 func TestAccessLogRecordsRequest(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(obs.NewLogHandler(slog.NewJSONHandler(&buf, nil)))
-	srv, cl := startServer(t, Config{Workers: 1, Tracing: true, Logger: logger})
+	srv, cl := startServer(t, Config{Workers: 1, TraceRingSize: 4096, Logger: logger})
 
 	ctx := context.Background()
 	resp, err := cl.Check(ctx, client.CheckRequest{Source: readTestdata(t, "valve.py")})
@@ -209,7 +209,7 @@ func TestCoalescedRequestsKeepOwnTraceIDs(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(obs.NewLogHandler(slog.NewJSONHandler(&buf, nil)))
 	srv, cl := startServer(t, Config{
-		Workers: 1, QueueDepth: 8, Tracing: true, Logger: logger,
+		Workers: 1, QueueDepth: 8, TraceRingSize: 4096, Logger: logger,
 		jobHook: func() { <-release },
 	})
 

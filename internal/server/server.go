@@ -40,6 +40,23 @@
 // source POSTed earlier for a cache-only re-check. Wire types live in
 // the public client package so the daemon and its Go client share one
 // schema.
+//
+// The request limits are fixed (docs/TUTORIAL.md §9 has the same table):
+//
+//	limit                                           value    past it
+//	check/infer/trace/watch body, batch item source 4 MiB    400; item record 413
+//	check-batch and jobs body                       16 MiB   400
+//	items of one check-batch                        256      413, pointing at /v1/jobs
+//	items of one job                                4096     413
+//	retained jobs                                   64       503 while all run
+//	one client's in-flight batch items              512      429 + Retry-After
+//	in-flight batch items, all clients              1024     503 + Retry-After
+//	concurrent items of one batch or job            Workers  waits
+//	snapshot import body                            256 MiB  400
+//	one ingest frame                                8 MiB    400
+//	one client's in-flight ingested events          65536    429 + Retry-After; larger frame 413
+//	in-flight ingested events, all clients          262144   503 + Retry-After
+//	exemplar latency without a latency SLO          100 ms   kept as an exemplar
 package server
 
 import (
@@ -89,9 +106,6 @@ type Config struct {
 	// concurrency budget).
 	CheckWorkers int
 
-	// MaxSourceBytes bounds request bodies. 0 means 4 MiB.
-	MaxSourceBytes int64
-
 	// MaxModules bounds resident modules; beyond it, settled entries
 	// are evicted arbitrarily. 0 means 256.
 	MaxModules int
@@ -101,56 +115,12 @@ type Config struct {
 	// access logging — the -quiet daemon flag.
 	Logger *slog.Logger
 
-	// Tracing turns on the span tracer: every request runs under a root
-	// span (trace ID from the X-Shelley-Trace header when the client
-	// sends one) and finished spans land in an in-memory ring served by
-	// GET /v1/trace-export.
-	Tracing bool
-
-	// TraceRingSize caps the span ring; 0 means 4096.
+	// TraceRingSize turns on the span tracer when positive: every
+	// request runs under a root span (trace ID from the X-Shelley-Trace
+	// header when the client sends one) and the last TraceRingSize
+	// finished spans are kept in an in-memory ring served by
+	// GET /v1/trace-export. 0 means tracing off.
 	TraceRingSize int
-
-	// MaxBatchItems bounds the items of one synchronous
-	// /v1/check-batch request; larger batches are refused with 413
-	// pointing at the async job mode. 0 means 256.
-	MaxBatchItems int
-
-	// MaxJobItems bounds the items of one async job (POST /v1/jobs).
-	// 0 means 4096.
-	MaxJobItems int
-
-	// MaxJobs bounds retained jobs, running and completed; completed
-	// jobs are evicted oldest-first to admit new ones. 0 means 64.
-	MaxJobs int
-
-	// MaxClientItems bounds one client's in-flight batch items across
-	// all its concurrent batch streams and jobs; beyond it the whole
-	// batch is refused with 429 and a jittered Retry-After, so one
-	// noisy client exhausts its own share instead of the pool. A sync
-	// batch charges its full item count; an async job charges its peak
-	// pool occupancy — min(items, BatchWindow), further capped to this
-	// share — so a job up to MaxJobItems is always admissible on an
-	// idle daemon even though MaxJobItems may exceed this bound.
-	// Clients are keyed by the X-Shelley-Client token, falling back to
-	// the remote host. 0 means 2×MaxBatchItems.
-	MaxClientItems int
-
-	// MaxBatchInflight bounds in-flight batch items across every
-	// client (503 beyond — the daemon, not the client, is the
-	// bottleneck). 0 means 4×MaxBatchItems.
-	MaxBatchInflight int
-
-	// BatchWindow bounds how many of one batch's items may occupy the
-	// worker pool at once. Batch items submit with backpressure — a
-	// full queue stalls the stream instead of shedding — so the window
-	// is what keeps one batch from monopolizing the queue. 1 processes
-	// items strictly in request order (deterministic record order).
-	// 0 means Workers.
-	BatchWindow int
-
-	// MaxBatchBytes bounds /v1/check-batch and /v1/jobs request
-	// bodies. 0 means 4×MaxSourceBytes.
-	MaxBatchBytes int64
 
 	// Store, when non-nil, is the durable artifact store backing warm
 	// restarts: verified response bodies and whole-class reports are
@@ -159,9 +129,6 @@ type Config struct {
 	// not own it — the caller (cmd/shelleyd) opens it before New and
 	// closes it after Shutdown. nil disables persistence entirely.
 	Store *store.Store
-
-	// MaxSnapshotBytes bounds PUT /v1/snapshot bodies. 0 means 256 MiB.
-	MaxSnapshotBytes int64
 
 	// Limits is the per-request resource budget attached to every
 	// pooled job's context: it bounds automata states, regex sizes, and
@@ -184,26 +151,6 @@ type Config struct {
 	// and each tick re-mines only classes whose observed language grew.
 	// 0 means 5s.
 	MineInterval time.Duration
-
-	// MineConfig tunes the miner (corpus bounds, class cap, learning
-	// budget). Its Store field is overridden with Config.Store so mined
-	// models and drift verdicts share the daemon's artifact store.
-	MineConfig mine.Config
-
-	// MaxIngestBytes bounds one /v1/ingest NDJSON frame. 0 means 8 MiB.
-	MaxIngestBytes int64
-
-	// MaxClientEvents bounds one client's in-flight ingested events
-	// (each observation charges at least 1); beyond it the whole frame
-	// is refused with 429 and a jittered Retry-After. Ingest therefore
-	// sheds under overload — admission refusal at the HTTP layer, corpus
-	// bounds underneath — and never blocks a reporting device. 0 means
-	// 65536.
-	MaxClientEvents int
-
-	// MaxIngestInflight bounds in-flight ingested events across every
-	// client (503 beyond). 0 means 4×MaxClientEvents.
-	MaxIngestInflight int
 
 	// Watch enables incremental re-verification sessions for edit
 	// loops: POST /v1/watch pushes a source generation into a named
@@ -240,15 +187,6 @@ type Config struct {
 	// per telemetry.DefaultSLOs.
 	SLOs []telemetry.SLO
 
-	// ExemplarLatency is the fallback tail-sampling threshold for
-	// endpoints without a latency SLO: a slower request is kept as an
-	// exemplar. Endpoints with a latency SLO use its threshold.
-	// 0 means 100ms.
-	ExemplarLatency time.Duration
-
-	// Exemplars bounds the exemplar ring. 0 means 64.
-	Exemplars int
-
 	// jobHook, when set, runs at the start of every pooled job — a
 	// test-only seam that lets the suite hold workers at a barrier and
 	// observe saturation, coalescing, and drain deterministically.
@@ -273,50 +211,14 @@ func (c Config) withDefaults() Config {
 	if c.CheckWorkers <= 0 {
 		c.CheckWorkers = 1
 	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 4 << 20
-	}
 	if c.MaxModules <= 0 {
 		c.MaxModules = 256
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
-	}
-	if c.MaxJobItems <= 0 {
-		c.MaxJobItems = 4096
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 64
-	}
-	if c.MaxClientItems <= 0 {
-		c.MaxClientItems = 2 * c.MaxBatchItems
-	}
-	if c.MaxBatchInflight <= 0 {
-		c.MaxBatchInflight = 4 * c.MaxBatchItems
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = c.Workers
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 4 * c.MaxSourceBytes
-	}
-	if c.MaxSnapshotBytes <= 0 {
-		c.MaxSnapshotBytes = 256 << 20
 	}
 	if c.Limits.Unlimited() {
 		c.Limits = budget.Default()
 	}
 	if c.MineInterval <= 0 {
 		c.MineInterval = 5 * time.Second
-	}
-	if c.MaxIngestBytes <= 0 {
-		c.MaxIngestBytes = 8 << 20
-	}
-	if c.MaxClientEvents <= 0 {
-		c.MaxClientEvents = 65536
-	}
-	if c.MaxIngestInflight <= 0 {
-		c.MaxIngestInflight = 4 * c.MaxClientEvents
 	}
 	if c.MaxWatchSessions <= 0 {
 		c.MaxWatchSessions = 64
@@ -330,11 +232,28 @@ func (c Config) withDefaults() Config {
 	if len(c.SLOs) == 0 {
 		c.SLOs = telemetry.DefaultSLOs()
 	}
-	if c.ExemplarLatency <= 0 {
-		c.ExemplarLatency = 100 * time.Millisecond
-	}
 	return c
 }
+
+// The daemon's fixed limits, tabulated in the package comment. A sync
+// batch charges the batch admission its item count, which never exceeds
+// maxClientItems; a job charges its peak pool occupancy, capped to it.
+// Clients are keyed by the X-Shelley-Client token, falling back to the
+// remote host.
+const (
+	maxSourceBytes    = 4 << 20 // check, infer, trace and watch bodies; one batch item's source
+	maxBatchItems     = 256
+	maxJobItems       = 4096
+	maxJobs           = 64 // retained jobs; completed ones are evicted oldest first
+	maxClientItems    = 2 * maxBatchItems
+	maxBatchInflight  = 4 * maxBatchItems
+	maxBatchBytes     = 4 * maxSourceBytes
+	maxSnapshotBytes  = 256 << 20
+	maxIngestBytes    = 8 << 20
+	maxClientEvents   = 65536 // each ingested observation charges at least 1
+	maxIngestInflight = 4 * maxClientEvents
+	exemplarLatency   = 100 * time.Millisecond // tail-sampling threshold without a latency SLO
+)
 
 // Server is a shelleyd instance. Create with New, expose via Handler
 // (any http.Server or test mux) or Start (own listener), stop with
@@ -383,9 +302,9 @@ type Server struct {
 	watchStop     chan struct{}
 	watchStopOnce sync.Once
 
-	// tracer is non-nil when Config.Tracing or Config.Telemetry (the
-	// exemplar span trees need spans); ring only with Tracing; logger
-	// is Config.Logger verbatim (nil = quiet).
+	// tracer is non-nil when tracing (TraceRingSize > 0) or Telemetry
+	// is on (the exemplar span trees need spans); ring only with
+	// tracing; logger is Config.Logger verbatim (nil = quiet).
 	tracer *obs.Tracer
 	ring   *obs.Ring
 	logger *slog.Logger
@@ -427,8 +346,8 @@ func New(cfg Config) *Server {
 		pool:       newPool(cfg.Workers, cfg.QueueDepth, met, cfg.jobHook),
 		met:        met,
 		mux:        http.NewServeMux(),
-		adm:        newAdmission(cfg.MaxClientItems, cfg.MaxBatchInflight, &met.batchRejected, &met.batchInflightItems),
-		jobs:       newJobStore(cfg.MaxJobs),
+		adm:        newAdmission(maxClientItems, maxBatchInflight, &met.batchRejected, &met.batchInflightItems),
+		jobs:       newJobStore(maxJobs),
 		store:      cfg.Store,
 		poolClosed: make(chan struct{}),
 		logger:     cfg.Logger,
@@ -439,12 +358,8 @@ func New(cfg Config) *Server {
 	}
 	s.drainCtx, s.drainCancel = context.WithCancelCause(context.Background())
 	var tracerOpts []obs.Option
-	if cfg.Tracing {
-		size := cfg.TraceRingSize
-		if size <= 0 {
-			size = 4096
-		}
-		s.ring = obs.NewRing(size)
+	if cfg.TraceRingSize > 0 {
+		s.ring = obs.NewRing(cfg.TraceRingSize)
 		tracerOpts = append(tracerOpts, obs.WithExporter(s.ring))
 	}
 	if cfg.Telemetry {
@@ -453,10 +368,9 @@ func New(cfg Config) *Server {
 		s.traceBuf = obs.NewTraceBuffer(0, 0)
 		tracerOpts = append(tracerOpts, obs.WithExporter(s.traceBuf))
 		s.engine = telemetry.New(telemetry.Config{
-			Tiers:     telemetryTiers(cfg.TelemetryInterval),
-			SLOs:      cfg.SLOs,
-			Exemplars: cfg.Exemplars,
-			Source:    func() telemetry.Sample { return s.met.sample(s.cache.Stats(), s.store, s.mineSnap()) },
+			Tiers:  telemetryTiers(cfg.TelemetryInterval),
+			SLOs:   cfg.SLOs,
+			Source: func() telemetry.Sample { return s.met.sample(s.cache.Stats(), s.store, s.mineSnap()) },
 		})
 		s.latThresh = make(map[string]time.Duration)
 		for _, slo := range cfg.SLOs {
@@ -487,13 +401,12 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/trace-export", s.handleTraceExport)
 	if cfg.Mine {
-		mc := cfg.MineConfig
-		mc.Store = cfg.Store
+		mc := mine.Config{Store: cfg.Store}
 		if s.engine != nil {
 			mc.OnVerdict = s.onMineVerdict
 		}
 		s.miner = mine.NewMiner(mc)
-		s.ingestAdm = newAdmission(cfg.MaxClientEvents, cfg.MaxIngestInflight, &met.ingestRejected, &met.ingestInflightEvents)
+		s.ingestAdm = newAdmission(maxClientEvents, maxIngestInflight, &met.ingestRejected, &met.ingestInflightEvents)
 		s.mineCtx, s.mineCancel = context.WithCancel(context.Background())
 		s.mineDone = make(chan struct{})
 		go s.mineLoop()
@@ -537,14 +450,6 @@ func (s *Server) Start(addr string) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address after Start.
-func (s *Server) Addr() string {
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
 }
 
 // Shutdown drains the daemon: new work is refused (healthz flips
@@ -899,7 +804,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, rep reply, err 
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) int {
 	var req client.CheckRequest
-	if err := decodeBody(w, r, s.cfg.MaxSourceBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxSourceBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
 	rep, err := s.answerCheck(r.Context(), req, false)
@@ -988,7 +893,7 @@ func (s *Server) checkErrorBody(ctx context.Context, err error) (int, []byte) {
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) int {
 	var req client.InferRequest
-	if err := decodeBody(w, r, s.cfg.MaxSourceBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxSourceBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
 	if req.Class == "" {
@@ -1032,7 +937,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) int {
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) int {
 	var req client.TraceRequest
-	if err := decodeBody(w, r, s.cfg.MaxSourceBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxSourceBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
 	if req.Class == "" {
@@ -1107,7 +1012,7 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) int {
 	if s.store == nil {
 		return s.writeError(w, http.StatusNotFound, "no artifact store configured; start shelleyd with -store-dir")
 	}
-	imported, skipped, err := s.store.ReadSnapshot(http.MaxBytesReader(w, r.Body, s.cfg.MaxSnapshotBytes))
+	imported, skipped, err := s.store.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
 	if err != nil {
 		return s.writeError(w, http.StatusBadRequest, fmt.Sprintf(
 			"snapshot import aborted after %d imported, %d skipped: %v", imported, skipped, err))

@@ -559,3 +559,11 @@ func TestModuleCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Addr returns the bound address after Start.
+func (s *Server) Addr() string {
+	if s.listener == nil {
+		return ""
+	}
+	return s.listener.Addr().String()
+}

@@ -110,7 +110,7 @@ func (s *Server) maybeExemplar(endpoint, traceID string, code int, elapsed time.
 	}
 	thr, ok := s.latThresh[endpoint]
 	if !ok {
-		thr = s.cfg.ExemplarLatency
+		thr = exemplarLatency
 	}
 	var reason string
 	switch {

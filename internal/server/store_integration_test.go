@@ -201,7 +201,7 @@ func TestStoreFaultInjectionAcceptance(t *testing.T) {
 	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() == 0 {
+	if st.Stats().Entries == 0 {
 		t.Fatal("no entries published after the disk healed")
 	}
 }
@@ -222,7 +222,7 @@ func TestShutdownDrainFlushesStoreQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Len() == 0 {
+	if st.Stats().Entries == 0 {
 		t.Fatal("store empty after drain; the shutdown flush lost the queue")
 	}
 }

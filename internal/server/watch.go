@@ -168,7 +168,7 @@ func (s *Server) handleWatchPost(w http.ResponseWriter, r *http.Request) int {
 		return s.writeError(w, http.StatusNotFound, "watch mode disabled; start shelleyd with -watch")
 	}
 	var req client.WatchRequest
-	if err := decodeBody(w, r, s.cfg.MaxSourceBytes, &req); err != nil {
+	if err := decodeBody(w, r, maxSourceBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
 	if req.Session == "" {

@@ -451,13 +451,6 @@ func (s *Store) Close() {
 // notice the disk before it matters.
 func (s *Store) Degraded() bool { return s.errors.Load() > 0 }
 
-// Len returns the number of published entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

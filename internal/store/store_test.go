@@ -408,7 +408,7 @@ func TestCloseDrainsAcceptedWrites(t *testing.T) {
 	}
 
 	s2 := open(t, Config{Dir: dir})
-	if got := s2.Len(); uint64(got) != s.Stats().Writes {
+	if got := s2.Stats().Entries; uint64(got) != s.Stats().Writes {
 		t.Fatalf("reopened entries = %d, writes before close = %d", got, s.Stats().Writes)
 	}
 }

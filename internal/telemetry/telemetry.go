@@ -204,9 +204,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Interval is the base tick rate (the finest tier's interval).
-func (e *Engine) Interval() time.Duration { return e.cfg.Tiers[0].Interval }
-
 // Start returns the first tick time (zero before the first tick).
 func (e *Engine) Start() time.Time {
 	e.mu.Lock()
@@ -380,29 +377,6 @@ func (e *Engine) Endpoints() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Value returns the latest sampled value of any series (counter or
-// gauge).
-func (e *Engine) Value(name string) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	i, ok := e.schema[name]
-	if !ok {
-		return 0, false
-	}
-	return e.latestLocked(i)
-}
-
-func (e *Engine) latestLocked(i int) (float64, bool) {
-	if e.tiers[0].n == 0 {
-		return 0, false
-	}
-	newest := e.tiers[0].newest()
-	if i >= len(newest.vals) {
-		return 0, false
-	}
-	return newest.vals[i], true
 }
 
 // Gauges returns the latest value of every gauge series, sorted by

@@ -223,7 +223,7 @@ func TestEngineWindowedRatesAndQuantiles(t *testing.T) {
 	if stLong.P99 < 40*time.Millisecond {
 		t.Errorf("1m p99 = %v, want ~50ms", stLong.P99)
 	}
-	if v, ok := eng.Value("queue_depth"); !ok || v != float64(119%7) {
+	if v, ok := eng.Gauges()["queue_depth"]; !ok || v != float64(119%7) {
 		t.Errorf("gauge = %.0f (ok=%v), want %d", v, ok, 119%7)
 	}
 	if eps := eng.Endpoints(); len(eps) != 1 || eps[0] != "check" {
@@ -378,8 +378,8 @@ func TestEngineBeforeFirstTick(t *testing.T) {
 	if eng.Endpoints() != nil {
 		t.Error("Endpoints non-nil before any tick")
 	}
-	if _, ok := eng.Value("x"); ok {
-		t.Error("Value answered before any tick")
+	if eng.Gauges() != nil {
+		t.Error("Gauges answered before any tick")
 	}
 	if len(eng.SLOStatuses()) != 0 {
 		t.Error("SLO statuses before any tick")
